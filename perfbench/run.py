@@ -32,15 +32,22 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-# The run is a sequence of cycles, each of one timed build, a burst of timed
-# loads and a burst of timed label builds, with a third of the query sample
-# timed after each, so every metric samples the whole run rather than one
-# stretch of it (the speed of a shared machine drifts over seconds). A burst repeats an
-# operation until BURST_SECONDS have passed, at most BURST_MAX times. Cycles
-# continue until --seconds have passed, and there are at least MIN_CYCLES.
+# The run is a sequence of cycles. A cycle is one timed build, then the query
+# sample in CHUNKS chunks; after each chunk come, in turn, timed loads or timed
+# label builds, so every metric samples the whole run rather than one stretch
+# of it (the speed of a shared machine drifts over seconds). Loads and label
+# builds are paced: each gets PACE_SECONDS of a cycle, spread evenly over the
+# cycle's chunks, and runs at least once a cycle. Cycles continue until
+# --seconds have passed, and there are at least MIN_CYCLES.
 MIN_CYCLES = 3
-BURST_SECONDS = 0.6
-BURST_MAX = 20
+CHUNKS = 12
+PACE_SECONDS = 1.0
+# Loads and label builds report a trimmed mean, not a median. The shared
+# host runs this thread in two speeds: now and then, for tens of milliseconds
+# at a time, a 10 ms label build takes 6 ms. Where both speeds are common the
+# median flips between them from run to run; the mean of the middle 80% moves
+# in proportion to the share of time at each speed.
+TRIM = 0.1
 
 END_TO_END_UNITS = {
     "setup_s": "s", "query_p50_us": "us", "query_p95_us": "us",
@@ -61,6 +68,13 @@ def percentile(values: list[float], p: float) -> float:
     """Nearest-rank percentile."""
     ordered = sorted(values)
     return ordered[max(0, math.ceil(p * len(ordered)) - 1)]
+
+
+def trimmed_mean(values: list[float]) -> float:
+    """Mean of the values left after dropping a share TRIM of them at each end."""
+    ordered = sorted(values)
+    k = int(len(ordered) * TRIM)
+    return statistics.fmean(ordered[k:len(ordered) - k])
 
 
 class Ledger:
@@ -96,17 +110,32 @@ class Timer:
             result = fn(*args)
         return s[4] - s[3], result
 
-    def burst(self, op: str, fn, *args) -> list[float]:
-        """Time fn(*args) repeatedly for BURST_SECONDS, each call after a
-        full collection; results are dropped."""
-        times: list[float] = []
-        started = clock()
-        while not times or (clock() - started < BURST_SECONDS
-                            and len(times) < BURST_MAX):
+
+class Pacer:
+    """Repeats one timed operation, spread over a cycle: at the k-th of
+    ``points`` points it repeats the operation, each call after a full
+    collection, until the cycle's time on it reaches k/points of
+    PACE_SECONDS. It runs at least once a cycle; results are dropped."""
+
+    def __init__(self, timer: Timer, op: str, fn, points: int) -> None:
+        self.timer, self.op, self.fn, self.points = timer, op, fn, points
+        self.times: list[float] = []
+        self.spent = 0.0
+        self.cycle_count = 0
+
+    def new_cycle(self) -> None:
+        self.spent = 0.0
+        self.cycle_count = 0
+
+    def point(self, k: int) -> None:
+        while (self.spent < PACE_SECONDS * k / self.points
+               or (k == self.points and self.cycle_count == 0)):
+            started = clock()
             gc.collect()
-            dt, _ = self(op, fn, *args)
-            times.append(dt)
-        return times
+            dt, _ = self.timer(self.op, self.fn)
+            self.times.append(dt)
+            self.spent += clock() - started
+            self.cycle_count += 1
 
 
 def run(workload_name: str, seed: int, seconds: float, traced: bool,
@@ -147,8 +176,6 @@ def run(workload_name: str, seed: int, seconds: float, traced: bool,
         layers.install(tracer)
     timer = Timer(tracer)
     build_s: list[float] = []
-    load_s: list[float] = []
-    label_s: list[float] = []
     query_us: list[float] = []
     label_us: list[float] = []
     cycles = 0
@@ -174,12 +201,12 @@ def run(workload_name: str, seed: int, seconds: float, traced: bool,
         # load, at a cost that depends on the runner, not on the operation.
         gc.collect()
         gc.freeze()
-        third = len(w.queries) // 3
-        slices = [range(0, third), range(third, 2 * third),
-                  range(2 * third, len(w.queries))]
+        loads = Pacer(timer, "load", load, CHUNKS // 2)
+        label_builds = Pacer(timer, "label_build", build_labels, CHUNKS // 2)
+        bounds = [len(w.queries) * c // CHUNKS for c in range(CHUNKS + 1)]
 
-        def query_slice(part: int) -> None:
-            for i in slices[part]:
+        def query_chunk(c: int) -> None:
+            for i in range(bounds[c], bounds[c + 1]):
                 q = w.queries[i]
                 dt, got = timer("query", _answer, oracle.query, q)
                 query_us.append(dt * 1e6)
@@ -195,11 +222,12 @@ def run(workload_name: str, seed: int, seconds: float, traced: bool,
             build_s.append(dt)
             ledger.check(rebuilt.manifest == oracle.manifest, "rebuilt manifest")
             rebuilt = None
-            query_slice(0)
-            load_s.extend(timer.burst("load", load))
-            query_slice(1)
-            label_s.extend(timer.burst("label_build", build_labels))
-            query_slice(2)
+            loads.new_cycle()
+            label_builds.new_cycle()
+            for c in range(CHUNKS):
+                query_chunk(c)
+                pacer = loads if c % 2 == 0 else label_builds
+                pacer.point(c // 2 + 1)
             if cycles == 0 and traced:
                 timer("save", vio.oracle_to_bytes, oracle)
             cycles += 1
@@ -215,8 +243,8 @@ def run(workload_name: str, seed: int, seconds: float, traced: bool,
         "cut_share": sum(truth) / len(truth),
         "size_mix": dict(sorted(Counter(len(q) for q in w.queries).items())),
         "kind_mix": dict(Counter(w.kinds)), **w.info,
-        "cycles": cycles, "builds": len(build_s), "loads": len(load_s),
-        "label_builds": len(label_s), "timed_queries": len(query_us),
+        "cycles": cycles, "builds": len(build_s), "loads": len(loads.times),
+        "label_builds": len(label_builds.times), "timed_queries": len(query_us),
         "cycle_query_p50_us": [round(statistics.median(query_us[i:i + len(w.queries)]))
                                for i in range(0, len(query_us), len(w.queries))],
         "build_s": build_s,
@@ -229,9 +257,9 @@ def run(workload_name: str, seed: int, seconds: float, traced: bool,
             "query_p50_us": statistics.median(query_us),
             "query_p95_us": percentile(query_us, 0.95),
             "structure_bytes": len(blob),
-            "load_s": statistics.median(load_s),
+            "load_s": trimmed_mean(loads.times),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "label_setup_s": statistics.median(label_s),
+            "label_setup_s": trimmed_mean(label_builds.times),
             "label_query_p50_us": statistics.median(label_us),
             "label_bits_max": max(lengths),
             "label_bits_mean": statistics.fmean(lengths),
