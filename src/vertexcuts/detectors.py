@@ -13,6 +13,8 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .connectivity import FailureConnectivityOracle, build_conn_oracle
 from .errors import (BudgetExceeded, DisconnectedInput, InvalidParams,
                      QueryOutsideSU, TooManyFailures)
@@ -44,7 +46,7 @@ def _check_query(f_set: Iterable[int], f: int, g: Graph) -> frozenset[int]:
 class FewTDetector:
     """Cut detector for few terminals: one connectivity sweep over T - F."""
 
-    __slots__ = ("graph", "terminals", "f", "conn")
+    __slots__ = ("graph", "terminals", "f", "conn", "_terminal_index")
 
     def __init__(self, graph: Graph, terminals: frozenset[int], f: int,
                  conn: FailureConnectivityOracle):
@@ -52,6 +54,7 @@ class FewTDetector:
         self.terminals = terminals
         self.f = f
         self.conn = conn
+        self._terminal_index = np.array(sorted(terminals), dtype=np.intp)
 
     def query(self, f_set: Iterable[int]) -> DetectorAnswer:
         return query_fewt(self, f_set)
@@ -66,17 +69,20 @@ def build_fewt(g: Graph, t_set: Iterable[int], f: int,
     return FewTDetector(g, ts, f, conn or build_conn_oracle(g, f))
 
 
+def _separated(labels: np.ndarray, vertices) -> bool:
+    """Whether the live ones among ``vertices`` span two components."""
+    lab = labels[vertices]
+    lab = lab[lab >= 0]
+    return lab.size >= 2 and lab.min() != lab.max()
+
+
 def query_fewt(d: FewTDetector, f_set: Iterable[int]) -> DetectorAnswer:
     fs = _check_query(f_set, d.f, d.graph)
-    live = sorted(d.terminals - fs)
-    if len(live) <= 1:
+    if len(d.terminals) - len(fs & d.terminals) <= 1:
         return DetectorAnswer.FAIL  # no live terminal pair to separate
     d.conn.update(fs)
-    labels = d.conn.labels
-    ref = labels[live[0]]
-    for t in live[1:]:
-        if labels[t] != ref:
-            return DetectorAnswer.CUT
+    if _separated(d.conn.labels, d._terminal_index):
+        return DetectorAnswer.CUT
     return DetectorAnswer.FAIL
 
 
@@ -156,12 +162,8 @@ def query_te(d: TEDetector, f_set: Iterable[int]) -> DetectorAnswer:
         # tree survives in G - F and T cannot be separated.
         return DetectorAnswer.FAIL
     d.conn.update(fs)
-    labels = d.conn.labels
-    live = sorted(nbrs)
-    ref = labels[live[0]]
-    for u in live[1:]:
-        if labels[u] != ref:
-            return DetectorAnswer.CUT
+    if _separated(d.conn.labels, list(nbrs)):
+        return DetectorAnswer.CUT
     return DetectorAnswer.FAIL
 
 

@@ -29,8 +29,8 @@ from .errors import InvalidParams
 from .graph import Graph
 from .labels import LabelingScheme
 from .oracle import (DetectorNode, HitMissFamily, HitMissRound, OracleMode,
-                     TerminalCutDetector, VertexCutOracle, _FewTBatch, _Leaf,
-                     _USide)
+                     RoundInfo, TerminalCutDetector, VertexCutOracle, _FewTBatch,
+                     _Leaf, _USide)
 
 MAGIC = b"VCUT"
 FORMAT_VERSION = 1
@@ -169,7 +169,7 @@ def _node_payload(node: DetectorNode) -> dict:
     return out
 
 
-def _node_from(payload: dict, f: int) -> DetectorNode:
+def _node_from(payload: dict, f: int, leaf_graphs: dict) -> DetectorNode:
     node = DetectorNode(
         kind=NodeKind(payload["kind"]),
         vset=frozenset(payload["vset"]),
@@ -183,20 +183,32 @@ def _node_from(payload: dict, f: int) -> DetectorNode:
         phi=_unfrac(payload["phi"]),
     )
     if payload["leaf"] is not None:
-        g = _graph_from(payload["leaf"]["graph"])
-        terms = payload["leaf"]["terminals_local"]
-        if payload["leaf"]["type"] == "te":
-            det = build_te(g, terms, f)
-        else:
-            det = build_fewt(g, terms, f)
-        node.leaf = _Leaf(det, g.root_to_local)
+        node.leaf = _leaf_from(payload["leaf"], f, leaf_graphs)
     for name in ("us_left", "us_right", "us_self"):
         if payload[name] is not None:
             setattr(node, name, _us_from(payload[name], f))
     for name in ("left", "right", "step"):
         if payload[name] is not None:
-            setattr(node, name, _node_from(payload[name], f))
+            setattr(node, name, _node_from(payload[name], f, leaf_graphs))
     return node
+
+
+def _leaf_from(payload: dict, f: int, leaf_graphs: dict) -> _Leaf:
+    # Leaves over equal graphs share one Graph and one connectivity oracle,
+    # as they do when built (oracle._conn_for). Candidates are found by
+    # vertex set, then matched on the edge list.
+    gp = payload["graph"]
+    shared = leaf_graphs.setdefault((gp["n"], tuple(gp["root_ids"])), [])
+    for edges, g, conn in shared:
+        if edges == gp["edges"]:
+            break
+    else:
+        g, conn = _graph_from(gp), None
+    build = build_te if payload["type"] == "te" else build_fewt
+    det = build(g, payload["terminals_local"], f, conn=conn)
+    if conn is None:
+        shared.append((gp["edges"], g, det.conn))
+    return _Leaf(det, g.root_to_local)
 
 
 def _detector_payload(det: TerminalCutDetector) -> dict:
@@ -213,8 +225,8 @@ def _detector_payload(det: TerminalCutDetector) -> dict:
     }
 
 
-def _detector_from(payload: dict, f: int) -> TerminalCutDetector:
-    root = _node_from(payload["root"], f)
+def _detector_from(payload: dict, f: int, leaf_graphs: dict) -> TerminalCutDetector:
+    root = _node_from(payload["root"], f, leaf_graphs)
     return TerminalCutDetector(root, frozenset(payload["s_star"]), f,
                                frozenset(payload["terminals"]), payload["depth"],
                                payload["fconnected"], _unfrac(payload["eps"]),
@@ -250,20 +262,35 @@ def oracle_from_payload(payload: dict, manifest: dict) -> VertexCutOracle:
     mode = OracleMode(payload["mode"])
     graph = _graph_from(payload["graph"])
     work = _graph_from(payload["work"])
+    leaf_graphs: dict = {}  # shared by every leaf of this load
     rounds = []
     for rp in payload["rounds"]:
         if rp["type"] == "hitmiss":
             fam = HitMissFamily(tuple(frozenset(s) for s in rp["family"]["subsets"]),
                                 frozenset(rp["family"]["t_set"]),
                                 rp["family"]["f"], rp["family"]["verified"])
-            dets = [_detector_from(dp, f) for dp in rp["detectors"]]
+            dets = [_detector_from(dp, f, leaf_graphs) for dp in rp["detectors"]]
             trivial = all(d.root.is_leaf and d.root.kind is NodeKind.LEAF_FEWT
                           and len(d.root.vset) == work.n for d in dets)
             batch = _FewTBatch(work, f, fam.subsets) if trivial else None
             rounds.append(HitMissRound(fam, dets, frozenset(rp["s_star"]), batch))
         else:
-            rounds.append(_detector_from(rp, f))
-    return VertexCutOracle(graph, work, f, mode, rounds, [], manifest)
+            rounds.append(_detector_from(rp, f, leaf_graphs))
+    return VertexCutOracle(graph, work, f, mode, rounds,
+                           _round_info_from(manifest, len(rounds)), manifest)
+
+
+def _round_info_from(manifest: dict, rounds: int) -> list[RoundInfo]:
+    """The per-round summary kept in the manifest, checked against the
+    payload's round count."""
+    entries = manifest.get("rounds")
+    if not isinstance(entries, list) or len(entries) != rounds:
+        listed = len(entries) if isinstance(entries, list) else "no"
+        raise InvalidParams(f"manifest lists {listed} rounds, payload has {rounds}")
+    try:
+        return [RoundInfo.from_manifest_entry(e) for e in entries]
+    except (KeyError, TypeError) as exc:
+        raise InvalidParams(f"malformed manifest round entry: {exc!r}") from None
 
 
 def oracle_to_bytes(o: VertexCutOracle) -> bytes:

@@ -147,17 +147,18 @@ class TerminalCutDetector:
 
 
 def _conn_for(graph: Graph, f: int,
-              pool: dict[int, FailureConnectivityOracle]) -> FailureConnectivityOracle:
-    # Detectors over the same node graph share one oracle; update() replaces
-    # the failure set wholesale, so serial queries stay correct.
-    key = id(graph)
-    if key not in pool:
-        pool[key] = build_conn_oracle(graph, f)
-    return pool[key]
+              pool: dict[Graph, FailureConnectivityOracle]) -> FailureConnectivityOracle:
+    # Leaves over equal node graphs, across all the detectors of one oracle,
+    # share one oracle (io does the same on load); update() replaces the
+    # failure set wholesale, so serial queries stay correct.
+    conn = pool.get(graph)
+    if conn is None:
+        conn = pool[graph] = build_conn_oracle(graph, f)
+    return conn
 
 
 def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
-             debug: bool, pool: dict[int, FailureConnectivityOracle],
+             debug: bool, pool: dict[Graph, FailureConnectivityOracle],
              empty_u: bool = False) -> DetectorNode:
     g = node.graph
     root_map = g.root_to_local
@@ -202,17 +203,21 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
                    params: TreeParams | None = None,
                    fconnected: bool = False, debug: bool = False,
                    tree: LRTree | None = None,
-                   empty_u: bool = False) -> TerminalCutDetector:
+                   empty_u: bool = False,
+                   pool: dict[Graph, FailureConnectivityOracle] | None = None
+                   ) -> TerminalCutDetector:
     """Build the LR tree for (g, t_set) and augment it into a cut detector.
 
     Leaves get FewT detectors (TE on large-terminal expander leaves); in the
     general mode every internal node gets US detectors for its left and right
     graphs with U = U_L ∪ U_R; in f-connected mode a single empty-U US
-    detector on the node's own graph.
+    detector on the node's own graph. Leaves share connectivity oracles
+    through ``pool``, which a caller may pass to share them across detectors.
     """
     if tree is None:
         tree = build_lr_tree(g, t_set, f, params)
-    pool: dict[int, FailureConnectivityOracle] = {}
+    if pool is None:
+        pool = {}
     root = _augment(tree.root, f, tree.leaf_threshold, fconnected, debug, pool,
                     empty_u)
     return TerminalCutDetector(root, tree.s_star, f, frozenset(tree.root.terminals),
@@ -435,24 +440,15 @@ class _FewTBatch:
         self.graph = graph
         self.conn = build_conn_oracle(graph, f)
         self.subsets = subsets
-        k = len(subsets)
-        tmax = max((len(s) for s in subsets), default=0)
-        self.pad = np.zeros((k, max(1, tmax)), dtype=np.int64)
-        self.mask = np.zeros((k, max(1, tmax)), dtype=bool)
+        # member[v, i]: vertex v is a terminal of subset i; rep[i]: one of them
+        self.member = np.zeros((graph.n, len(subsets)), dtype=bool)
+        self.rep = np.zeros(len(subsets), dtype=np.intp)
         for i, sub in enumerate(subsets):
-            for j, v in enumerate(sorted(sub)):
-                self.pad[i, j] = v
-                self.mask[i, j] = True
-        self.member = np.zeros((k, graph.n), dtype=bool)
-        for i, sub in enumerate(subsets):
-            for v in sub:
-                self.member[i, v] = True
+            self.member[list(sub), i] = True
+            self.rep[i] = min(sub, default=0)
 
     def query(self, fs: frozenset[int]) -> tuple[DetectorAnswer, QueryStats]:
-        failed = np.zeros(self.graph.n, dtype=bool)
-        for v in fs:
-            failed[v] = True
-        miss = ~(self.member & failed).any(axis=1)
+        miss = ~self.member[sorted(fs)].any(axis=0)
         stats = QueryStats(query_size=len(fs), tree_depth=1,
                            nodes_visited=int(miss.sum()), max_depth=1,
                            detector_queries=int(miss.sum()),
@@ -460,13 +456,12 @@ class _FewTBatch:
         if not miss.any():
             return DetectorAnswer.FAIL, stats
         self.conn.update(fs)
-        labels = np.asarray(self.conn.labels, dtype=np.int64)
-        lab = labels[self.pad]
-        big = lab.max(initial=0) + 1
-        lo = np.where(self.mask, lab, big).min(axis=1)
-        hi = np.where(self.mask, lab, -1).max(axis=1)
-        cnt = self.mask.sum(axis=1)
-        cut_rows = miss & (cnt >= 2) & (lo != hi)
+        # A subset that misses F is cut iff one of its terminals lies outside
+        # the component of its rep. One n x k comparison, whatever the number
+        # of components; int32 labels halve its cost.
+        lab = self.conn.labels.astype(np.int32)
+        strays = (lab[:, None] != lab[self.rep]) & self.member
+        cut_rows = strays.any(axis=0) & miss
         return (DetectorAnswer.CUT if cut_rows.any() else DetectorAnswer.FAIL), stats
 
 
@@ -479,6 +474,23 @@ class RoundInfo:
     sum_edges: int
     family_k: int = 0
     family_verified: str = ""
+
+    def manifest_entry(self) -> dict:
+        return {
+            "terminals": self.terminal_count,
+            "s_star": self.s_star_count,
+            "tree_depth": self.depth,
+            "sum_vertices": self.sum_vertices,
+            "sum_edges": self.sum_edges,
+            **({"family_k": self.family_k, "family_verified": self.family_verified}
+               if self.family_k else {}),
+        }
+
+    @classmethod
+    def from_manifest_entry(cls, entry: dict) -> "RoundInfo":
+        return cls(entry["terminals"], entry["s_star"], entry["tree_depth"],
+                   entry["sum_vertices"], entry["sum_edges"],
+                   entry.get("family_k", 0), entry.get("family_verified", ""))
 
 
 class VertexCutOracle:
@@ -589,6 +601,7 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
 
     rounds = []
     info: list[RoundInfo] = []
+    pool: dict[Graph, FailureConnectivityOracle] = {}
     terms = frozenset(range(work.n))
     i = 0
     while terms:
@@ -596,7 +609,7 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
         if mode is OracleMode.HITMISS:
             rnd = _build_hitmiss_round(work, terms, f, params, family_constant,
                                        family_seed + i, debug,
-                                       family_exhaustive_limit)
+                                       family_exhaustive_limit, pool)
             s_star = rnd.s_star
             info.append(RoundInfo(len(terms), len(s_star),
                                   max((d.depth for d in rnd.detectors), default=1),
@@ -608,7 +621,7 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
         else:
             det = build_detector(work, terms, f, params,
                                  fconnected=(mode is OracleMode.FCONNECTED),
-                                 debug=debug)
+                                 debug=debug, pool=pool)
             s_star = det.s_star
             info.append(RoundInfo(len(terms), len(s_star), det.depth,
                                   det.sum_vertices, det.sum_edges))
@@ -628,26 +641,15 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
         "sparsified": bool(use_sparsify),
         "work_edges": work.m,
         "f_connected_verification": fconn_flag,
-        "rounds": [
-            {
-                "terminals": r.terminal_count,
-                "s_star": r.s_star_count,
-                "tree_depth": r.depth,
-                "sum_vertices": r.sum_vertices,
-                "sum_edges": r.sum_edges,
-                **({"family_k": r.family_k, "family_verified": r.family_verified}
-                   if r.family_k else {}),
-            }
-            for r in info
-        ],
+        "rounds": [r.manifest_entry() for r in info],
     }
     return VertexCutOracle(g, work, f, mode, rounds, info, manifest)
 
 
 def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
                          params: TreeParams, family_constant: float,
-                         seed: int, debug: bool,
-                         exhaustive_limit: int = 24) -> HitMissRound:
+                         seed: int, debug: bool, exhaustive_limit: int,
+                         pool: dict[Graph, FailureConnectivityOracle]) -> HitMissRound:
     family = build_hit_miss_family(terms, f, work.n, seed=seed,
                                    constant=family_constant,
                                    exhaustive_limit=exhaustive_limit)
@@ -666,7 +668,8 @@ def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
     s_star: set[int] = set()
     trivial = True
     for sub in family.subsets:
-        det = build_detector(work, sub, f, hm_params, debug=debug, empty_u=True)
+        det = build_detector(work, sub, f, hm_params, debug=debug, empty_u=True,
+                             pool=pool)
         detectors.append(det)
         s_star.update(det.s_star)
         if not (det.root.is_leaf and det.root.kind is NodeKind.LEAF_FEWT

@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 
 from helpers import (barbell_graph, complete_graph, cycle_graph, path_graph,
-                     subsets_upto, two_blob_graph)
+                     star_graph, subsets_upto, two_blob_graph)
 from vertexcuts.decomposition import NodeKind, TreeParams
 from vertexcuts.detectors import DetectorAnswer
 from vertexcuts.errors import (DisconnectedInput, InvalidParams, NotFConnected,
@@ -241,6 +241,25 @@ def test_batch_matches_per_detector_path():
                 manual = DetectorAnswer.CUT
                 break
         assert ans == manual
+
+
+def test_batch_only_counts_subsets_that_miss_f():
+    from vertexcuts.oracle import _FewTBatch
+    batch = _FewTBatch(path_graph(5), 1, (frozenset({0, 1, 4}), frozenset({3})))
+    # F = {1} splits 0 from 4, but the only subset holding both meets F
+    assert batch.query(frozenset({1}))[0] is DetectorAnswer.FAIL
+    assert batch.query(frozenset({2}))[0] is DetectorAnswer.CUT
+
+
+def test_batch_with_many_components_and_short_subsets():
+    from vertexcuts.oracle import _FewTBatch
+    # F = {0} leaves 8 components; an empty subset and a singleton are never cut
+    short = (frozenset(), frozenset({2}), frozenset({4, 4}))
+    g = star_graph(8)
+    assert _FewTBatch(g, 1, short).query(frozenset({0}))[0] is DetectorAnswer.FAIL
+    batch = _FewTBatch(g, 1, short + (frozenset({1, 5, 8}),))
+    assert batch.query(frozenset({0}))[0] is DetectorAnswer.CUT
+    assert batch.query(frozenset({3}))[0] is DetectorAnswer.FAIL
 
 
 def test_tiny_graphs():
