@@ -5,7 +5,8 @@ Given an undirected graph G and a parameter f, the structures here answer
 
 - :mod:`vertexcuts.graph` -- graph type, brute-force ground truth, sparse
   certificates, terminal-expander verification.
-- :mod:`vertexcuts.connectivity` -- pluggable f-failure connectivity oracle.
+- :mod:`vertexcuts.connectivity` -- f-failure connectivity oracle; queries
+  only read it, so structures may be queried from several threads.
 - :mod:`vertexcuts.detectors` -- the specialized terminal cut detectors.
 - :mod:`vertexcuts.decomposition` -- left/right splitting, the LR tree, and
   the cut-respecting terminal-expander decomposition.
@@ -20,14 +21,14 @@ from .graph import (Graph, component_labels, components, is_cut_bruteforce,
                     is_f_connected, is_terminal_expander, min_vertex_cut_size,
                     separates_terminals, sparsify)
 from .connectivity import FailureConnectivityOracle, build_conn_oracle
-from .oracle import OracleMode, VertexCutOracle, build_oracle, query_oracle
+from .oracle import OracleMode, VertexCutOracle, build_oracle
 
 __all__ = [
     "Graph", "component_labels", "components", "is_cut_bruteforce",
     "is_f_connected", "is_terminal_expander", "min_vertex_cut_size",
     "separates_terminals", "sparsify",
     "FailureConnectivityOracle", "build_conn_oracle",
-    "OracleMode", "VertexCutOracle", "build_oracle", "query_oracle",
+    "OracleMode", "VertexCutOracle", "build_oracle",
 ]
 
 __version__ = "0.1.0"

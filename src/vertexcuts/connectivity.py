@@ -3,10 +3,15 @@
 ``FailureConnectivityOracle`` answers "are s and t connected in G - F?" for
 |F| <= f, following the spanning-tree decomposition behind Duan–Pettie
 (SODA 2010) and Kosinas (ESA 2023). Once per oracle, lazily at the first
-``update``/``connected``/``labels`` call, it prepares a DFS spanning forest
-of G: the pre-order and the position and subtree size of every vertex, and
-the pre-order positions of both ends of every non-tree edge as numpy arrays.
-Oracles that are built but never queried prepare nothing.
+query, it prepares a DFS spanning forest of G: the pre-order and the
+position and subtree size of every vertex, and the pre-order positions of
+both ends of every non-tree edge as numpy arrays. Oracles that are built but
+never queried prepare nothing.
+
+``update(F)`` returns the component labels of G - F as a read-only array, a
+pure function of F; ``connected(s, t, F)`` reads them. Queries keep no state
+but a memo of the last (F, labels) pair, replaced in one assignment, so one
+oracle may be queried from several threads at once.
 
 Removing F splits the forest into pieces: what is left of each tree, and the
 subtree of every child c not in F of every x in F, less the failed subtrees
@@ -142,61 +147,52 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class FailureConnectivityOracle:
-    """Answers s-t connectivity in G - F after update(F), for |F| <= f."""
+    """Answers s-t connectivity in G - F for |F| <= f; queries only read it."""
 
-    __slots__ = ("graph", "f", "failed", "_labels", "_forest")
+    __slots__ = ("graph", "f", "_last", "_forest")
 
     def __init__(self, graph: Graph, f: int):
         self.graph = graph
         self.f = f
-        self.failed: frozenset[int] = frozenset()
-        self._labels: np.ndarray | None = None
+        # The last (F, labels) answered; labels None until the first update.
+        self._last: tuple[frozenset[int], np.ndarray | None] = (frozenset(), None)
         self._forest: _Forest | None = None
 
-    def _components(self) -> np.ndarray:
-        if self._forest is None:
-            self._forest = _Forest(self.graph)
-        return self._forest.components(self.failed)
+    @property
+    def failed(self) -> frozenset[int]:
+        """The failure set of the last update."""
+        return self._last[0]
 
-    def update(self, f_set: Iterable[int]) -> None:
-        """Replace the failure set; queries then refer to G - f_set."""
+    def update(self, f_set: Iterable[int]) -> np.ndarray:
+        """Component labels of G - f_set (-1 on f_set), read-only."""
         fs = frozenset(f_set)
+        failed, labels = self._last
+        if fs == failed and labels is not None:
+            return labels
         if len(fs) > self.f:
             raise TooManyFailures(f"|F|={len(fs)} exceeds f={self.f}")
         self.graph.check_vertices(fs)
-        if fs == self.failed and self._labels is not None:
-            return  # same failure set: labeling already current
-        self.failed = fs
-        self._labels = self._components()
+        forest = self._forest
+        if forest is None:
+            # Concurrent first queries may each prepare an equal forest.
+            forest = self._forest = _Forest(self.graph)
+        labels = forest.components(fs)
+        self._last = (fs, labels)
+        return labels
 
-    def connected(self, s: int, t: int) -> bool:
+    def connected(self, s: int, t: int, f_set: Iterable[int]) -> bool:
+        """Whether s and t are connected in G - f_set."""
+        fs = frozenset(f_set)
+        labels = self.update(fs)
         self.graph.check_vertices((s, t))
-        if s in self.failed or t in self.failed:
+        if s in fs or t in fs:
             raise QueriedFailedVertex(f"query ({s},{t}) touches the failure set")
-        labels = self.labels
         return bool(labels[s] == labels[t])
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Component labels of G - F (-1 on failed vertices), read-only."""
-        if self._labels is None:
-            self._labels = self._components()
-        return self._labels
-
-    def clone(self) -> "FailureConnectivityOracle":
-        # The forest and the labels are immutable, so the copy shares them.
-        other = object.__new__(FailureConnectivityOracle)
-        other.graph = self.graph
-        other.f = self.f
-        other.failed = self.failed
-        other._labels = self._labels
-        other._forest = self._forest
-        return other
 
 
 def build_conn_oracle(g: Graph, f: int) -> FailureConnectivityOracle:
-    """Oracle in the "no failures" state. f >= 0; f = 0 only answers static
-    connectivity. Preparation waits for the first query."""
+    """Connectivity oracle for up to f failures. f >= 0; f = 0 only answers
+    static connectivity. Preparation waits for the first query."""
     if f < 0:
         raise TooManyFailures(f"f must be nonnegative, got {f}")
     return FailureConnectivityOracle(g, f)

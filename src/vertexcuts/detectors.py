@@ -80,8 +80,7 @@ def query_fewt(d: FewTDetector, f_set: Iterable[int]) -> DetectorAnswer:
     fs = _check_query(f_set, d.f, d.graph)
     if len(d.terminals) - len(fs & d.terminals) <= 1:
         return DetectorAnswer.FAIL  # no live terminal pair to separate
-    d.conn.update(fs)
-    if _separated(d.conn.labels, d._terminal_index):
+    if _separated(d.conn.update(fs), d._terminal_index):
         return DetectorAnswer.CUT
     return DetectorAnswer.FAIL
 
@@ -161,8 +160,7 @@ def query_te(d: TEDetector, f_set: Iterable[int]) -> DetectorAnswer:
         # F misses the Steiner tree entirely (or only borders itself), so the
         # tree survives in G - F and T cannot be separated.
         return DetectorAnswer.FAIL
-    d.conn.update(fs)
-    if _separated(d.conn.labels, list(nbrs)):
+    if _separated(d.conn.update(fs), list(nbrs)):
         return DetectorAnswer.CUT
     return DetectorAnswer.FAIL
 

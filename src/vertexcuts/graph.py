@@ -27,7 +27,8 @@ class Graph:
     sorted, ``m == sum(degrees)/2``.
     """
 
-    __slots__ = ("n", "edges", "adj", "root_ids", "_edge_set", "_root_to_local")
+    __slots__ = ("n", "edges", "adj", "root_ids", "_edge_set", "_root_to_local",
+                 "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  root_ids: Sequence[int] | None = None):
@@ -55,6 +56,7 @@ class Graph:
             if len(self.root_ids) != n:
                 raise InvalidParams("root_ids length must equal n")
         self._root_to_local = None
+        self._connected = None
 
     @property
     def m(self) -> int:
@@ -95,9 +97,9 @@ class Graph:
         return Graph(len(vs), edges, root_ids=[self.root_ids[v] for v in vs])
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return component_count(self) == 1
+        if self._connected is None:
+            self._connected = self.n <= 1 or component_count(self) == 1
+        return self._connected
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n

@@ -24,13 +24,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .decomposition import NodeKind, TedCollection
-from .detectors import USDetector, build_fewt, build_te
+from .detectors import FewTDetector, TEDetector, USDetector, build_fewt, build_te
 from .errors import InvalidParams
 from .graph import Graph
 from .labels import LabelingScheme
 from .oracle import (DetectorNode, HitMissFamily, HitMissRound, OracleMode,
-                     RoundInfo, TerminalCutDetector, VertexCutOracle, _FewTBatch,
-                     _Leaf, _USide)
+                     RoundInfo, TerminalCutDetector, VertexCutOracle, _FewTBatch)
 
 MAGIC = b"VCUT"
 FORMAT_VERSION = 1
@@ -114,8 +113,7 @@ def _graph_from(payload: dict) -> Graph:
                  root_ids=payload["root_ids"])
 
 
-def _us_payload(side: _USide) -> dict:
-    det = side.det
+def _us_payload(det: USDetector) -> dict:
     tables = []
     for w in sorted(det.tables, key=sorted):
         arr, bit = det.tables[w]
@@ -125,15 +123,14 @@ def _us_payload(side: _USide) -> dict:
             "f_connected": det.f_connected, "tables": tables}
 
 
-def _us_from(payload: dict, f: int) -> _USide:
+def _us_from(payload: dict, f: int) -> USDetector:
     # The US query never touches adjacency, so the graph is restored as a
     # vertex map only; the tables are loaded as computed.
     g = Graph(payload["n"], [], root_ids=payload["root_ids"])
     tables = {frozenset(w): ([tuple(t) for t in arr], bool(bit))
               for w, arr, bit in payload["tables"]}
-    det = USDetector(g, frozenset(payload["u"]), frozenset(payload["s"]), f,
-                     payload["f_connected"], tables)
-    return _USide(det, g.root_to_local)
+    return USDetector(g, frozenset(payload["u"]), frozenset(payload["s"]), f,
+                      payload["f_connected"], tables)
 
 
 def _node_payload(node: DetectorNode) -> dict:
@@ -153,15 +150,15 @@ def _node_payload(node: DetectorNode) -> dict:
         "left": None, "right": None, "step": None,
     }
     if node.leaf is not None:
-        det = node.leaf.det
+        det = node.leaf
         leaf = {"type": "te" if hasattr(det, "tau_adj") else "fewt",
                 "graph": _graph_payload(det.graph),
                 "terminals_local": sorted(det.terminals)}
         out["leaf"] = leaf
     for name in ("us_left", "us_right", "us_self"):
-        side = getattr(node, name)
-        if side is not None:
-            out[name] = _us_payload(side)
+        det = getattr(node, name)
+        if det is not None:
+            out[name] = _us_payload(det)
     for name in ("left", "right", "step"):
         child = getattr(node, name)
         if child is not None:
@@ -193,10 +190,11 @@ def _node_from(payload: dict, f: int, leaf_graphs: dict) -> DetectorNode:
     return node
 
 
-def _leaf_from(payload: dict, f: int, leaf_graphs: dict) -> _Leaf:
+def _leaf_from(payload: dict, f: int, leaf_graphs: dict) -> FewTDetector | TEDetector:
     # Leaves over equal graphs share one Graph and one connectivity oracle,
-    # as they do when built (oracle._conn_for). Candidates are found by
-    # vertex set, then matched on the edge list.
+    # as they do when built (oracle._conn_for), and so its memo of the last
+    # query. Candidates are found by vertex set, then matched on the edge
+    # list.
     gp = payload["graph"]
     shared = leaf_graphs.setdefault((gp["n"], tuple(gp["root_ids"])), [])
     for edges, g, conn in shared:
@@ -208,7 +206,7 @@ def _leaf_from(payload: dict, f: int, leaf_graphs: dict) -> _Leaf:
     det = build(g, payload["terminals_local"], f, conn=conn)
     if conn is None:
         shared.append((gp["edges"], g, det.conn))
-    return _Leaf(det, g.root_to_local)
+    return det
 
 
 def _detector_payload(det: TerminalCutDetector) -> dict:
@@ -312,14 +310,20 @@ def oracle_from_bytes(data: bytes) -> VertexCutOracle:
     if version != FORMAT_VERSION:
         raise InvalidParams(f"unsupported container version {version}")
     off = 6
-    mlen = struct.unpack("<Q", data[off:off + 8])[0]
-    off += 8
-    manifest = json.loads(data[off:off + mlen])
-    off += mlen
-    plen = struct.unpack("<Q", data[off:off + 8])[0]
-    off += 8
-    payload = json.loads(data[off:off + plen])
-    return oracle_from_payload(payload, manifest)
+    try:
+        mlen = struct.unpack("<Q", data[off:off + 8])[0]
+        off += 8
+        manifest = json.loads(data[off:off + mlen])
+        off += mlen
+        plen = struct.unpack("<Q", data[off:off + 8])[0]
+        off += 8
+        payload = json.loads(data[off:off + plen])
+        return oracle_from_payload(payload, manifest)
+    except (struct.error, ValueError, LookupError, TypeError, AttributeError) as exc:
+        # A checksummed container written by something other than
+        # oracle_to_bytes: bad lengths, text that is not JSON, missing keys.
+        raise InvalidParams(
+            f"malformed oracle container: {type(exc).__name__}: {exc}") from None
 
 
 def save_oracle(o: VertexCutOracle, path: str) -> int:

@@ -75,7 +75,8 @@ class StLabelProvider:
 
 
 class RegistryProvider(StLabelProvider):
-    """Blob = the vertex id; decide() consults a shared connectivity oracle.
+    """Blob = the vertex id; decide() consults a shared connectivity oracle,
+    which it only reads.
 
     Not a true labeling scheme (the oracle is global state); it exists so the
     label construction and query algorithms can be tested end to end. A
@@ -93,8 +94,7 @@ class RegistryProvider(StLabelProvider):
 
     def decide(self, blobs, s, t, f_set):
         ids = {v: int.from_bytes(blobs[v], "big") for v in blobs}
-        self.conn.update([ids[v] for v in f_set])
-        return self.conn.connected(ids[s], ids[t])
+        return self.conn.connected(ids[s], ids[t], [ids[v] for v in f_set])
 
     def reported_bits(self, n: int, f: int) -> int:
         return max(1, (max(1, n - 1)).bit_length())

@@ -66,27 +66,11 @@ class QueryStats:
 
 
 @dataclass
-class _Leaf:
-    det: FewTDetector | TEDetector
-    root_map: dict[int, int]
-
-    def query(self, f_root: frozenset[int]) -> DetectorAnswer:
-        return self.det.query([self.root_map[r] for r in f_root])
-
-
-@dataclass
-class _USide:
-    det: USDetector
-    root_map: dict[int, int]
-
-    def query(self, f_root: frozenset[int]) -> DetectorAnswer:
-        return self.det.query([self.root_map[r] for r in f_root])
-
-
-@dataclass
 class DetectorNode:
     """A tree node after augmentation; per-node graphs are dropped and only
-    membership sets (in root ids) remain, plus the attached detectors."""
+    membership sets (in root ids) remain, plus the attached detectors. Each
+    detector works in the ids of its own graph, reached from root ids
+    through ``det.graph.root_to_local``."""
 
     kind: NodeKind
     vset: frozenset[int]
@@ -97,10 +81,10 @@ class DetectorNode:
     u_left: frozenset[int] = frozenset()
     u_right: frozenset[int] = frozenset()
     u_s: frozenset[int] = frozenset()
-    leaf: Optional[_Leaf] = None
-    us_left: Optional[_USide] = None
-    us_right: Optional[_USide] = None
-    us_self: Optional[_USide] = None
+    leaf: Optional[FewTDetector | TEDetector] = None
+    us_left: Optional[USDetector] = None
+    us_right: Optional[USDetector] = None
+    us_self: Optional[USDetector] = None
     left: Optional["DetectorNode"] = None
     right: Optional["DetectorNode"] = None
     step: Optional["DetectorNode"] = None
@@ -149,8 +133,9 @@ class TerminalCutDetector:
 def _conn_for(graph: Graph, f: int,
               pool: dict[Graph, FailureConnectivityOracle]) -> FailureConnectivityOracle:
     # Leaves over equal node graphs, across all the detectors of one oracle,
-    # share one oracle (io does the same on load); update() replaces the
-    # failure set wholesale, so serial queries stay correct.
+    # share one oracle (io does the same on load). Queries only read it, and
+    # its memo of the last F saves a recomputation when leaves over one graph
+    # in different rounds see the same F.
     conn = pool.get(graph)
     if conn is None:
         conn = pool[graph] = build_conn_oracle(graph, f)
@@ -167,10 +152,9 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
     if node.is_leaf:
         local_t = [root_map[r] for r in node.terminals]
         if node.kind is NodeKind.LEAF_EXPANDER and len(local_t) > threshold:
-            leaf_det = build_te(g, local_t, f, conn=_conn_for(g, f, pool))
+            det.leaf = build_te(g, local_t, f, conn=_conn_for(g, f, pool))
         else:
-            leaf_det = build_fewt(g, local_t, f, conn=_conn_for(g, f, pool))
-        det.leaf = _Leaf(leaf_det, root_map)
+            det.leaf = build_fewt(g, local_t, f, conn=_conn_for(g, f, pool))
         return det
     det.sep = node.cut.sep
     det.left_side = node.cut.left
@@ -181,17 +165,17 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
     gl, gr = node.left.graph, node.right.graph
     if fconnected:
         local_s = [root_map[r] for r in node.cut.sep]
-        det.us_self = _USide(build_us(g, [], local_s, f, f_connected=True), root_map)
+        det.us_self = build_us(g, [], local_s, f, f_connected=True)
     else:
         # Hit-miss detectors only see queries disjoint from their terminal
         # subset; the representatives are terminals, so U can be empty.
         u_root = frozenset() if empty_u else node.u_left | node.u_right
         sl = [gl.root_to_local[r] for r in node.cut.sep]
         ul = [gl.root_to_local[r] for r in u_root]
-        det.us_left = _USide(build_us(gl, ul, sl, f), gl.root_to_local)
+        det.us_left = build_us(gl, ul, sl, f)
         sr = [gr.root_to_local[r] for r in node.cut.sep]
         ur = [gr.root_to_local[r] for r in u_root]
-        det.us_right = _USide(build_us(gr, ur, sr, f), gr.root_to_local)
+        det.us_right = build_us(gr, ur, sr, f)
     det.left = _augment(node.left, f, threshold, fconnected, debug, pool, empty_u)
     det.right = _augment(node.right, f, threshold, fconnected, debug, pool, empty_u)
     if node.step is not None:
@@ -225,10 +209,11 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
                                tree.sum_vertices, tree.sum_edges)
 
 
-def build_detector_fconnected(g: Graph, t_set: Iterable[int], f: int,
-                              params: TreeParams | None = None,
-                              debug: bool = False) -> TerminalCutDetector:
-    return build_detector(g, t_set, f, params, fconnected=True, debug=debug)
+def _ask(det: FewTDetector | TEDetector | USDetector,
+         f_root: frozenset[int]) -> DetectorAnswer:
+    """Query a node's detector with F given in root ids."""
+    root_map = det.graph.root_to_local
+    return det.query([root_map[r] for r in f_root])
 
 
 def _visit_general(node: DetectorNode, f_q: frozenset[int], depth: int,
@@ -242,19 +227,19 @@ def _visit_general(node: DetectorNode, f_q: frozenset[int], depth: int,
         stats.detector_queries += 1
         if node.kind is NodeKind.LEAF_STEPCHILD:
             stats.step_visits += 1
-        return node.leaf.query(f_q)
+        return _ask(node.leaf, f_q)
     f_l = f_q & node.left.vset
     f_r = f_q & node.right.vset
     if f_q & node.right_side <= node.u_right:
         stats.trim_nodes += 1
         stats.detector_queries += 1
-        if node.us_right.query(f_r) is DetectorAnswer.CUT:
+        if _ask(node.us_right, f_r) is DetectorAnswer.CUT:
             return DetectorAnswer.CUT
         return _visit_general(node.left, f_l, depth + 1, stats)
     if f_q & node.left_side <= node.u_left:
         stats.trim_nodes += 1
         stats.detector_queries += 1
-        if node.us_left.query(f_l) is DetectorAnswer.CUT:
+        if _ask(node.us_left, f_l) is DetectorAnswer.CUT:
             return DetectorAnswer.CUT
         if _visit_general(node.right, f_r, depth + 1, stats) is DetectorAnswer.CUT:
             return DetectorAnswer.CUT
@@ -289,11 +274,11 @@ def _visit_fconnected(node: DetectorNode, f_q: frozenset[int], depth: int,
         stats.detector_queries += 1
         if node.kind is NodeKind.LEAF_STEPCHILD:
             stats.step_visits += 1
-        return node.leaf.query(f_q)
+        return _ask(node.leaf, f_q)
     if f_q <= node.sep:
         stats.trim_nodes += 1
         stats.detector_queries += 1
-        return node.us_self.query(f_q)
+        return _ask(node.us_self, f_q)
     in_left = bool(f_q & node.left_side)
     in_right = bool(f_q & node.right_side)
     if in_left and in_right:
@@ -455,11 +440,10 @@ class _FewTBatch:
                            batched_detectors=max(1, int(miss.sum())))
         if not miss.any():
             return DetectorAnswer.FAIL, stats
-        self.conn.update(fs)
         # A subset that misses F is cut iff one of its terminals lies outside
         # the component of its rep. One n x k comparison, whatever the number
         # of components; int32 labels halve its cost.
-        lab = self.conn.labels.astype(np.int32)
+        lab = self.conn.update(fs).astype(np.int32)
         strays = (lab[:, None] != lab[self.rep]) & self.member
         cut_rows = strays.any(axis=0) & miss
         return (DetectorAnswer.CUT if cut_rows.any() else DetectorAnswer.FAIL), stats
@@ -510,44 +494,23 @@ class VertexCutOracle:
     def query(self, f_set: Iterable[int]) -> bool:
         return self.query_with_stats(f_set)[0]
 
-    def clone(self) -> "VertexCutOracle":
-        """Independent copy for concurrent query batches (queries mutate the
-        embedded connectivity oracles, so threads need their own instance)."""
-        from .io import oracle_from_bytes, oracle_to_bytes
-        return oracle_from_bytes(oracle_to_bytes(self))
-
     def query_with_stats(self, f_set: Iterable[int]) -> tuple[bool, list[QueryStats]]:
         fs = frozenset(f_set)
         self.graph.check_vertices(fs)
         if len(fs) > self.f:
             raise TooManyFailures(f"|F|={len(fs)} exceeds f={self.f}")
         all_stats: list[QueryStats] = []
-        if self.mode is OracleMode.FCONNECTED:
-            if len(fs) < self.f:
-                return False, all_stats  # smaller sets cannot cut an f-connected graph
-            for det in self.rounds:
-                ans, stats = det.query(fs)
-                all_stats.append(stats)
-                if ans is DetectorAnswer.CUT:
-                    return True, all_stats
-            return False, all_stats
-        if self.mode is OracleMode.GENERAL:
-            for det in self.rounds:
-                ans, stats = det.query(fs)
-                all_stats.append(stats)
-                if ans is DetectorAnswer.CUT:
-                    return True, all_stats
-            return False, all_stats
-        for rnd in self.rounds:  # hit-miss rounds
-            if rnd.batch is not None:
-                ans, stats = rnd.batch.query(fs)
-                all_stats.append(stats)
-                if ans is DetectorAnswer.CUT:
-                    return True, all_stats
-                continue
-            for sub, det in zip(rnd.family.subsets, rnd.detectors):
-                if sub & fs:
-                    continue  # never query a detector whose subset meets F
+        if self.mode is OracleMode.FCONNECTED and len(fs) < self.f:
+            return False, all_stats  # smaller sets cannot cut an f-connected graph
+        for rnd in self.rounds:
+            if self.mode is not OracleMode.HITMISS:
+                dets = (rnd,)
+            elif rnd.batch is not None:
+                dets = (rnd.batch,)
+            else:  # never query a detector whose subset meets F
+                dets = (d for sub, d in zip(rnd.family.subsets, rnd.detectors)
+                        if not sub & fs)
+            for det in dets:
                 ans, stats = det.query(fs)
                 all_stats.append(stats)
                 if ans is DetectorAnswer.CUT:
@@ -678,11 +641,3 @@ def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
     batch = _FewTBatch(work, f, family.subsets) if trivial else None
     return HitMissRound(family, detectors, frozenset(s_star), batch)
 
-
-def build_oracle_hitmiss(g: Graph, f: int, params: TreeParams | None = None,
-                         **kwargs) -> VertexCutOracle:
-    return build_oracle(g, f, OracleMode.HITMISS, params, **kwargs)
-
-
-def query_oracle(o: VertexCutOracle, f_set: Iterable[int]) -> bool:
-    return o.query(f_set)

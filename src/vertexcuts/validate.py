@@ -65,7 +65,7 @@ def oracle_equivalence_report(g: Graph, f: int, modes: list[OracleMode],
                               exhaustive_cap: int = 20_000,
                               n_random: int = 2_000, seed: int = 0,
                               stats_slack: int = 8) -> ValidationReport:
-    """query_oracle == is_cut_bruteforce over exhaustive (small n) or seeded
+    """VertexCutOracle.query == is_cut_bruteforce over exhaustive (small n) or seeded
     random queries, plus the per-query stats laws. The f-connected mode is
     checked at |F| = f with smaller queries answered "not a cut"."""
     rep = ValidationReport()

@@ -50,7 +50,8 @@ def failure_sets(n, f):
 
 def assert_matches_reference(o, g, fs):
     ref = component_labels(g, fs)
-    got = o.labels
+    got = o.update(fs)
+    assert not got.flags.writeable
     assert len(got) == g.n
     assert [v for v in range(g.n) if got[v] == -1] == sorted(fs)
     live = [v for v in range(g.n) if v not in fs]
@@ -59,7 +60,7 @@ def assert_matches_reference(o, g, fs):
     assert len(pairs) == len({p[0] for p in pairs}) == len({p[1] for p in pairs})
     for s in live:
         for t in live:
-            assert o.connected(s, t) is (ref[s] == ref[t])
+            assert o.connected(s, t, fs) is (ref[s] == ref[t])
 
 
 @SETTINGS
@@ -70,15 +71,24 @@ def test_update_sequences_match_reference(data):
     f = data.draw(st.integers(0, 4))
     o = build_conn_oracle(g, f)
     seen = []
+    returned = []
     for _ in range(data.draw(st.integers(1, 6))):
         if seen and data.draw(st.booleans()):
             fs = data.draw(st.sampled_from(seen))  # go back to an earlier set
         else:
             fs = data.draw(failure_sets(g.n, f))
         seen.append(fs)
-        o.update(fs)
+        returned.append((fs, o.update(fs)))
         assert o.failed == fs
         assert_matches_reference(o, g, fs)
+    # Later updates leave every earlier answer as it was.
+    for fs, labels in returned:
+        assert not labels.flags.writeable
+        ref = component_labels(g, fs)
+        assert [v for v in range(g.n) if labels[v] == -1] == sorted(fs)
+        live = [v for v in range(g.n) if v not in fs]
+        assert all((labels[s] == labels[t]) == (ref[s] == ref[t])
+                   for s in live for t in live)
 
 
 @SETTINGS
@@ -126,7 +136,7 @@ def test_queries_before_any_update(g):
     ref = component_labels(g)
     for s in range(g.n):
         for t in range(g.n):
-            assert o.connected(s, t) is (ref[s] == ref[t])
+            assert o.connected(s, t, ()) is (ref[s] == ref[t])
     assert_matches_reference(build_conn_oracle(g, 2), g, frozenset())
 
 
@@ -144,12 +154,13 @@ def test_tiny_graphs(g):
 def test_labels_are_read_only_and_star_center_splits():
     g = star_graph(6)
     o = build_conn_oracle(g, 1)
-    o.update([0])
-    labels = o.labels
+    labels = o.update([0])
     assert isinstance(labels, np.ndarray) and not labels.flags.writeable
     assert labels[0] == -1 and len(set(labels[1:].tolist())) == 6
+    with pytest.raises(ValueError):
+        labels[1] = 0
     with pytest.raises(QueriedFailedVertex):
-        o.connected(0, 1)
+        o.connected(0, 1, [0])
 
 
 @SETTINGS

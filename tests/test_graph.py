@@ -69,6 +69,23 @@ def test_sparsify_tree_unchanged():
     assert sparsify(tree, 3).edges == tree.edges
 
 
+def test_is_connected_is_computed_once(monkeypatch):
+    import vertexcuts.graph as graph_module
+    real_count = graph_module.component_count
+    calls = []
+
+    def counting(g, removed=()):
+        calls.append(g)
+        return real_count(g, removed)
+
+    monkeypatch.setattr(graph_module, "component_count", counting)
+    for g, connected in ((path_graph(5), True), (Graph(4, [(0, 1), (2, 3)]), False)):
+        calls.clear()
+        assert g.is_connected() is connected
+        assert g.is_connected() is connected
+        assert len(calls) == 1
+
+
 def test_sparsify_k5():
     h = sparsify(K5, 1)
     assert h.m <= 2 * 5

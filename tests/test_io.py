@@ -1,6 +1,9 @@
 """The oracle container on load: round summaries and shared connectivity
-oracles survive a save/load round trip."""
+oracles survive a save/load round trip, and malformed containers are
+rejected with a library error."""
 
+import hashlib
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,9 @@ from helpers import barbell_graph, path_graph, subsets_upto, two_blob_graph
 from vertexcuts.decomposition import TreeParams
 from vertexcuts.errors import InvalidParams
 from vertexcuts.generators import gen_connected_gnp
-from vertexcuts.io import load_oracle, oracle_from_bytes, oracle_to_bytes, save_oracle
+from vertexcuts.io import (FORMAT_VERSION, MAGIC, canonical_json_bytes, load_oracle,
+                           oracle_from_bytes, oracle_payload, oracle_to_bytes,
+                           save_oracle)
 from vertexcuts.oracle import HitMissRound, OracleMode, build_oracle
 
 DEEP = TreeParams(eps_override=Fraction(1, 2))
@@ -28,7 +33,7 @@ def leaves(o):
         for det in (rnd.detectors if isinstance(rnd, HitMissRound) else [rnd]):
             for node in det.nodes():
                 if node.leaf is not None:
-                    yield node.leaf.det
+                    yield node.leaf
 
 
 @pytest.mark.parametrize("g,f,mode,params", CASES)
@@ -79,8 +84,36 @@ def test_leaf_interning_matches_whole_graphs():
     triangle = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "root_ids": [5, 6, 7]}
     shared = {}
     a, b, c = (_leaf_from({"type": "fewt", "graph": gp, "terminals_local": [0, 2]},
-                          1, shared).det for gp in (path, triangle, dict(path)))
+                          1, shared) for gp in (path, triangle, dict(path)))
     assert a.graph is c.graph and a.conn is c.conn
     assert b.conn is not a.conn  # same vertices, other edges
     assert a.query([1]) is DetectorAnswer.CUT
     assert b.query([1]) is DetectorAnswer.FAIL
+
+
+def rechecksummed(manifest: bytes, payload: bytes, mlen: int | None = None) -> bytes:
+    """A container laid out as oracle_to_bytes lays it out, with a valid
+    checksum over whatever the parts hold."""
+    body = (MAGIC + struct.pack("<H", FORMAT_VERSION)
+            + struct.pack("<Q", len(manifest) if mlen is None else mlen) + manifest
+            + struct.pack("<Q", len(payload)) + payload)
+    return body + hashlib.sha256(body).digest()
+
+
+def test_malformed_checksummed_containers_raise_invalid_params():
+    o = build_oracle(barbell_graph(5), 2, params=DEEP)
+    manifest = canonical_json_bytes(o.manifest)
+    payload = oracle_payload(o)
+    assert oracle_from_bytes(rechecksummed(manifest, canonical_json_bytes(payload)))
+    no_f = {k: v for k, v in payload.items() if k != "f"}
+    no_root = dict(payload, rounds=[{k: v for k, v in payload["rounds"][0].items()
+                                     if k != "root"}] + payload["rounds"][1:])
+    bad = [
+        rechecksummed(manifest, canonical_json_bytes(no_f)),
+        rechecksummed(manifest, canonical_json_bytes(no_root)),
+        rechecksummed(manifest, b"not json"),
+        rechecksummed(manifest, canonical_json_bytes(payload), mlen=1 << 20),
+    ]
+    for data in bad:
+        with pytest.raises(InvalidParams, match="malformed"):
+            oracle_from_bytes(data)

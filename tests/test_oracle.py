@@ -16,10 +16,8 @@ from vertexcuts.errors import (DisconnectedInput, InvalidParams, NotFConnected,
 from vertexcuts.generators import gen_connected_gnp, gen_f_connected, gen_lb_family
 from vertexcuts.graph import Graph, is_cut_bruteforce
 from vertexcuts.io import oracle_from_bytes, oracle_to_bytes
-from vertexcuts.oracle import (OracleMode, build_detector,
-                               build_detector_fconnected, build_hit_miss_family,
-                               build_oracle, build_oracle_hitmiss,
-                               query_detector, query_detector_fconnected)
+from vertexcuts.oracle import (OracleMode, build_detector, build_hit_miss_family,
+                               build_oracle, query_detector_fconnected)
 from vertexcuts.validate import check_query_stats
 
 P4 = path_graph(4)
@@ -157,7 +155,7 @@ def test_fconnected_rejects_and_attests():
 
 
 def test_fconnected_detector_query_size():
-    det = build_detector_fconnected(C6, range(6), 2)
+    det = build_detector(C6, range(6), 2, fconnected=True)
     with pytest.raises(WrongQuerySize):
         query_detector_fconnected(det, [0])
 
@@ -184,14 +182,14 @@ def test_hit_miss_family_examples():
 
 def test_hitmiss_oracle_exhaustive():
     for g, f in [(P4, 1), (K4, 2), (gen_connected_gnp(16, 0.4, 33), 2)]:
-        o = build_oracle_hitmiss(g, f)
+        o = build_oracle(g, f, OracleMode.HITMISS)
         for fs in subsets_upto(g.n, f):
             assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
 def test_hitmiss_never_queries_hit_subsets():
     g = gen_connected_gnp(14, 0.35, 71)
-    o = build_oracle_hitmiss(g, 2)
+    o = build_oracle(g, 2, OracleMode.HITMISS)
     rnd = o.rounds[0]
     rng = random.Random(4)
     for _ in range(50):
@@ -210,8 +208,9 @@ def test_hitmiss_deep_tree_with_singletons():
     # eps override forces real splits inside hit-miss detectors: singleton
     # representatives and empty-U US detectors.
     g = two_blob_graph(12, 2, 0.5, 13)
-    o = build_oracle_hitmiss(g, 1, params=TreeParams(eps_override=Fraction(1, 3)),
-                             family_exhaustive_limit=32)
+    o = build_oracle(g, 1, OracleMode.HITMISS,
+                     params=TreeParams(eps_override=Fraction(1, 3)),
+                     family_exhaustive_limit=32)
     deep = False
     for rnd in o.rounds:
         assert rnd.family.verified == "exhaustive"
@@ -219,7 +218,7 @@ def test_hitmiss_deep_tree_with_singletons():
             if not det.root.is_leaf:
                 deep = True
                 assert len(det.root.u_right) <= 1
-                assert det.root.us_left.det.u_set == frozenset()
+                assert det.root.us_left.u_set == frozenset()
     assert deep
     for fs in subsets_upto(g.n, 1):
         assert o.query(fs) == is_cut_bruteforce(g, fs), fs
@@ -227,7 +226,7 @@ def test_hitmiss_deep_tree_with_singletons():
 
 def test_batch_matches_per_detector_path():
     g = gen_connected_gnp(12, 0.35, 55)
-    o = build_oracle_hitmiss(g, 2)
+    o = build_oracle(g, 2, OracleMode.HITMISS)
     rnd = o.rounds[0]
     assert rnd.batch is not None
     for fs in list(subsets_upto(12, 2))[:150]:
@@ -288,15 +287,6 @@ def test_serialization_round_trip():
         assert oracle_to_bytes(o2) == data   # byte-stable
         for fs in subsets_upto(g.n, f):
             assert o.query(fs) == o2.query(fs), fs
-
-
-def test_oracle_clone_is_independent():
-    g = gen_connected_gnp(12, 0.35, 3)
-    o = build_oracle(g, 2)
-    c = o.clone()
-    assert c is not o
-    for fs in list(subsets_upto(12, 2))[:60]:
-        assert o.query(fs) == c.query(fs)
 
 
 def test_serialization_rejects_corruption():
