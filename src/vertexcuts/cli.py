@@ -21,7 +21,7 @@ from .io import (format_edgelist, label_dump, load_oracle, parse_edgelist,
                  write_ted_dir)
 from .labels import build_labels, label_length_report, query_labels_scheme
 from .oracle import OracleMode, build_oracle
-from .validate import full_validation
+from .validate import check_oracle, full_validation
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -157,9 +157,7 @@ def cmd_bench(args) -> int:
 def cmd_validate(args) -> int:
     if args.oracle:
         oracle = load_oracle(args.oracle)  # checksum + format checks
-        g = oracle.graph
-        from .validate import oracle_equivalence_report
-        rep = oracle_equivalence_report(g, oracle.f, [oracle.mode], seed=args.seed)
+        rep = check_oracle(oracle, seed=args.seed)
         print(rep.summary())
         return 0 if rep.ok else 1
     g = _read_graph(args.input, args.format)

@@ -3,7 +3,7 @@ TED export directories, and JSON reports.
 
 Container layout (byte-exact):
   bytes 0..3   magic b"VCUT"
-  bytes 4..5   format version, u16 little-endian (currently 1)
+  bytes 4..5   format version, u16 little-endian (currently 2)
   bytes 6..13  manifest byte length, u64 little-endian
   ...          manifest: canonical JSON (UTF-8, sorted keys, separators ",",":")
   8 bytes      payload byte length, u64 little-endian
@@ -32,7 +32,7 @@ from .oracle import (DetectorNode, HitMissFamily, HitMissRound, OracleMode,
                      RoundInfo, TerminalCutDetector, VertexCutOracle, _FewTBatch)
 
 MAGIC = b"VCUT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -267,10 +267,12 @@ def oracle_from_payload(payload: dict, manifest: dict) -> VertexCutOracle:
             fam = HitMissFamily(tuple(frozenset(s) for s in rp["family"]["subsets"]),
                                 frozenset(rp["family"]["t_set"]),
                                 rp["family"]["f"], rp["family"]["verified"])
+            work.check_vertices(fam.t_set)
+            if not all(s <= fam.t_set for s in fam.subsets):
+                raise InvalidParams("hit-miss family subset outside its terminal set")
+            # A trivial round is stored as its family alone.
             dets = [_detector_from(dp, f, leaf_graphs) for dp in rp["detectors"]]
-            trivial = all(d.root.is_leaf and d.root.kind is NodeKind.LEAF_FEWT
-                          and len(d.root.vset) == work.n for d in dets)
-            batch = _FewTBatch(work, f, fam.subsets) if trivial else None
+            batch = None if dets else _FewTBatch(work, f, fam.subsets)
             rounds.append(HitMissRound(fam, dets, frozenset(rp["s_star"]), batch))
         else:
             rounds.append(_detector_from(rp, f, leaf_graphs))
@@ -319,9 +321,11 @@ def oracle_from_bytes(data: bytes) -> VertexCutOracle:
         off += 8
         payload = json.loads(data[off:off + plen])
         return oracle_from_payload(payload, manifest)
-    except (struct.error, ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (struct.error, ValueError, LookupError, TypeError, AttributeError,
+            ArithmeticError) as exc:
         # A checksummed container written by something other than
-        # oracle_to_bytes: bad lengths, text that is not JSON, missing keys.
+        # oracle_to_bytes: bad lengths, text that is not JSON, missing keys,
+        # a fraction over zero.
         raise InvalidParams(
             f"malformed oracle container: {type(exc).__name__}: {exc}") from None
 

@@ -6,7 +6,8 @@ O(2^|F|) branch points. The oracle iterates terminal reduction (T starts at
 V and shrinks to the union of separators) and stores one detector per round.
 Three modes: general, f-connected (single-path queries, |F| = f only), and
 hit-miss (a verified family of terminal subsets lets every US detector use an
-empty U-set).
+empty U-set; at default parameters a round is the family alone, decided in
+one bit-packed batch).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -348,9 +350,72 @@ class HitMissFamily:
         return len(self.subsets)
 
 
-def _family_property_holds(subsets: list[frozenset[int]], t_list: list[int], f: int,
-                           exhaustive: bool, sample_checks: int, seed: int) -> bool:
-    from itertools import combinations
+# The exhaustive family check tests sum_{s<=f} C(t, s) * t(t+1)/2 pairs (F, uv);
+# past this many it samples instead.
+FAMILY_CHECK_CAP = 10 ** 8
+# Bytes of one temporary of the exhaustive check.
+_CHECK_CHUNK_BYTES = 1 << 22
+
+
+def _membership_words(subsets: Iterable[frozenset[int]], rows: int,
+                      index: np.ndarray | None = None) -> np.ndarray:
+    """Bit-packed membership: bit i % 64 of word i // 64 in row r is set iff
+    subset i holds vertex r, or the r-th entry of the sorted array ``index``."""
+    subsets = list(subsets)
+    sizes = [len(s) for s in subsets]
+    ids = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=sum(sizes))
+    if index is not None:
+        ids = np.searchsorted(index, ids)
+    member = np.zeros((rows, 64 * -(-len(subsets) // 64)), dtype=bool)
+    member[ids, np.repeat(np.arange(len(subsets)), sizes)] = True
+    return np.packbits(member, axis=1, bitorder="little").view("<u8")
+
+
+def _family_property_holds(subsets: list[frozenset[int]], t_list: list[int],
+                           f: int) -> bool:
+    """Exhaustive check of the hit-miss property: for every F in T with
+    |F| <= f and every pair u <= v in T - F, some subset misses F and holds
+    u and v.
+
+    P[uv] = M[u] & M[v] packs the subsets holding both ends of a pair. F runs
+    over prefixes of size |F| - 1 with its last element y vectorized; a pair
+    is screened on its first word and, where that misses, rechecked word by
+    word."""
+    t = len(t_list)
+    words = _membership_words(subsets, t, np.asarray(t_list))
+    pu, pv = np.triu_indices(t)
+    pairs = words[pu] & words[pv]
+    if not pairs.any(axis=1).all():  # F = {}
+        return False
+    first = np.ascontiguousarray(pairs[:, 0])
+    for size in range(1, f + 1):
+        for prefix in combinations(range(t), size - 1):
+            ys = np.arange(prefix[-1] + 1 if prefix else 0, t)
+            hit = np.bitwise_or.reduce(words[list(prefix)], axis=0)
+            miss = ~(hit | words[ys])                      # one row per y
+            cols = np.flatnonzero(~(np.isin(pu, prefix) | np.isin(pv, prefix)))
+            first_c, u_c, v_c = first[cols], pu[cols], pv[cols]
+            step = max(1, _CHECK_CHUNK_BYTES // (8 * max(1, cols.size)))
+            for lo in range(0, ys.size, step):
+                yi, pi = np.nonzero((miss[lo:lo + step, :1] & first_c) == 0)
+                yi += lo
+                y = ys[yi]
+                keep = (u_c[pi] != y) & (v_c[pi] != y)      # pairs avoiding y
+                yi, pi = yi[keep], cols[pi[keep]]
+                for w in range(1, words.shape[1]):
+                    if not yi.size:
+                        break
+                    uncovered = (pairs[pi, w] & miss[yi, w]) == 0
+                    yi, pi = yi[uncovered], pi[uncovered]
+                if yi.size:
+                    return False
+    return True
+
+
+def _family_property_sampled(subsets: list[frozenset[int]], t_list: list[int],
+                             f: int, sample_checks: int, seed: int) -> bool:
+    """The hit-miss property at sample_checks random (F, u, v)."""
+    import random as _random
     t = len(t_list)
     k = len(subsets)
     idx = {v: i for i, v in enumerate(t_list)}
@@ -358,21 +423,6 @@ def _family_property_holds(subsets: list[frozenset[int]], t_list: list[int], f: 
     for i, sub in enumerate(subsets):
         for v in sub:
             member[i, idx[v]] = True
-    if exhaustive:
-        for size in range(0, f + 1):
-            for fs in combinations(range(t), size):
-                miss = ~member[:, fs].any(axis=1) if fs else np.ones(k, dtype=bool)
-                live = np.ones(t, dtype=bool)
-                live[list(fs)] = False
-                nlive = int(live.sum())
-                if nlive == 0:
-                    continue
-                sub = member[miss][:, live]
-                cov = sub.T.astype(np.int32) @ sub.astype(np.int32)
-                if not (cov > 0).all():
-                    return False
-        return True
-    import random as _random
     rng = _random.Random(seed)
     for _ in range(sample_checks):
         size = rng.randint(0, f)
@@ -389,12 +439,12 @@ def _family_property_holds(subsets: list[frozenset[int]], t_list: list[int], f: 
 
 
 def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
-                          constant: float = 1.0, exhaustive_limit: int = 24,
-                          sample_checks: int = 10_000,
+                          constant: float = 1.0, sample_checks: int = 10_000,
                           max_rounds: int = 8) -> HitMissFamily:
     """Randomized family of k = constant*(f*log2 n)^3 subsets (each terminal
     joins each subset with probability 1/(f+1)), verified and resampled until
-    the hit-miss property holds."""
+    the hit-miss property holds. The check is exhaustive up to
+    FAMILY_CHECK_CAP (F, pair) checks and sampled past it."""
     if f < 1:
         raise VerificationFailed("hit-miss family requires f >= 1")
     import random as _random
@@ -404,13 +454,15 @@ def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
     if t <= 1:
         # {T} hits the only terminal whenever F misses it; vacuously verified.
         return HitMissFamily((frozenset(ts),), frozenset(ts), f, "exhaustive")
-    exhaustive = t <= exhaustive_limit
+    checks = sum(math.comb(t, s) for s in range(f + 1)) * t * (t + 1) // 2
+    exhaustive = checks <= FAMILY_CHECK_CAP
     for attempt in range(max_rounds):
         rng = _random.Random((seed << 4) ^ attempt ^ (t << 16))
         p = 1.0 / (f + 1)
         subsets = [frozenset(v for v in ts if rng.random() < p) for _ in range(k)]
-        if _family_property_holds(subsets, ts, f, exhaustive, sample_checks,
-                                  seed ^ 0x5EED ^ attempt):
+        if (_family_property_holds(subsets, ts, f) if exhaustive else
+                _family_property_sampled(subsets, ts, f, sample_checks,
+                                         seed ^ 0x5EED ^ attempt)):
             return HitMissFamily(tuple(subsets), frozenset(ts), f,
                                  "exhaustive" if exhaustive else "sampled")
         k = math.ceil(1.3 * k) + 8
@@ -418,35 +470,39 @@ def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
 
 
 class _FewTBatch:
-    """Vectorized evaluation of a round whose detectors are all single FewT
-    leaves over the same graph (the common hit-miss shape at desk scale)."""
+    """A trivial hit-miss round: every subset is decided as a FewT leaf over
+    the whole graph would decide it, all at once from bit-packed membership."""
 
     def __init__(self, graph: Graph, f: int, subsets: tuple[frozenset[int], ...]):
         self.graph = graph
         self.conn = build_conn_oracle(graph, f)
         self.subsets = subsets
-        # member[v, i]: vertex v is a terminal of subset i; rep[i]: one of them
-        self.member = np.zeros((graph.n, len(subsets)), dtype=bool)
-        self.rep = np.zeros(len(subsets), dtype=np.intp)
-        for i, sub in enumerate(subsets):
-            self.member[list(sub), i] = True
-            self.rep[i] = min(sub, default=0)
+        self.words = _membership_words(subsets, graph.n)   # vertex x subset
 
     def query(self, fs: frozenset[int]) -> tuple[DetectorAnswer, QueryStats]:
-        miss = ~self.member[sorted(fs)].any(axis=0)
+        hit = np.bitwise_or.reduce(self.words[list(fs)], axis=0)
+        missed = len(self.subsets) - int(np.bitwise_count(hit).sum())
         stats = QueryStats(query_size=len(fs), tree_depth=1,
-                           nodes_visited=int(miss.sum()), max_depth=1,
-                           detector_queries=int(miss.sum()),
-                           batched_detectors=max(1, int(miss.sum())))
-        if not miss.any():
+                           nodes_visited=missed, max_depth=1,
+                           detector_queries=missed,
+                           batched_detectors=max(1, missed))
+        if not missed:
             return DetectorAnswer.FAIL, stats
-        # A subset that misses F is cut iff one of its terminals lies outside
-        # the component of its rep. One n x k comparison, whatever the number
-        # of components; int32 labels halve its cost.
-        lab = self.conn.update(fs).astype(np.int32)
-        strays = (lab[:, None] != lab[self.rep]) & self.member
-        cut_rows = strays.any(axis=0) & miss
-        return (DetectorAnswer.CUT if cut_rows.any() else DetectorAnswer.FAIL), stats
+        # A subset that misses F is cut iff its terminals meet two components.
+        # OR the rows of each component (F, labelled -1, sorts first and is
+        # dropped); a bit seen in a component and in an earlier one is cut.
+        lab = self.conn.update(fs)
+        order = np.argsort(lab)[len(fs):]
+        sl = lab[order]
+        if not sl.size or sl[0] == sl[-1]:  # at most one component
+            return DetectorAnswer.FAIL, stats
+        starts = np.flatnonzero(np.concatenate(([True], sl[1:] != sl[:-1])))
+        comp = np.bitwise_or.reduceat(self.words[order], starts, axis=0)
+        seen = np.bitwise_or.accumulate(comp[:-1], axis=0)
+        twice = np.bitwise_or.reduce(comp[1:] & seen, axis=0)
+        # ~hit also sets the padding bits past k, which no component has
+        cut = (twice & ~hit).any()
+        return (DetectorAnswer.CUT if cut else DetectorAnswer.FAIL), stats
 
 
 @dataclass
@@ -520,6 +576,10 @@ class VertexCutOracle:
 
 @dataclass
 class HitMissRound:
+    """One hit-miss round: a detector per subset, or, for a trivial round
+    (every subset a single FewT leaf over the work graph), no detectors and
+    a batch over the family."""
+
     family: HitMissFamily
     detectors: list[TerminalCutDetector]
     s_star: frozenset[int]
@@ -535,7 +595,6 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
                  params: TreeParams | None = None, *, use_sparsify: bool = True,
                  attest_f_connected: bool = False, debug: bool = False,
                  family_constant: float = 1.0, family_seed: int = 0,
-                 family_exhaustive_limit: int = 24,
                  fconn_check_cap: int = 64) -> VertexCutOracle:
     """Preprocess g into an f-vertex cut oracle.
 
@@ -570,16 +629,11 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
     while terms:
         _round_guard(i, work.n)
         if mode is OracleMode.HITMISS:
-            rnd = _build_hitmiss_round(work, terms, f, params, family_constant,
-                                       family_seed + i, debug,
-                                       family_exhaustive_limit, pool)
+            rnd, rnd_info = _build_hitmiss_round(work, terms, f, params,
+                                                 family_constant, family_seed + i,
+                                                 debug, pool)
             s_star = rnd.s_star
-            info.append(RoundInfo(len(terms), len(s_star),
-                                  max((d.depth for d in rnd.detectors), default=1),
-                                  sum(d.sum_vertices for d in rnd.detectors),
-                                  sum(d.sum_edges for d in rnd.detectors),
-                                  family_k=rnd.family.k,
-                                  family_verified=rnd.family.verified))
+            info.append(rnd_info)
             rounds.append(rnd)
         else:
             det = build_detector(work, terms, f, params,
@@ -611,33 +665,36 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
 
 def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
                          params: TreeParams, family_constant: float,
-                         seed: int, debug: bool, exhaustive_limit: int,
-                         pool: dict[Graph, FailureConnectivityOracle]) -> HitMissRound:
+                         seed: int, debug: bool,
+                         pool: dict[Graph, FailureConnectivityOracle]
+                         ) -> tuple[HitMissRound, RoundInfo]:
     family = build_hit_miss_family(terms, f, work.n, seed=seed,
-                                   constant=family_constant,
-                                   exhaustive_limit=exhaustive_limit)
+                                   constant=family_constant)
     k = family.k
     if params.eps_override is not None:
         eps = Fraction(params.eps_override)
     else:
         denom = params.c * k * max(1.0, math.log2(max(2, len(terms))))
         eps = Fraction(1) / Fraction(denom)
+    threshold = Fraction(f + 1) / eps
+    if all(len(sub) <= threshold for sub in family.subsets):
+        # Every per-subset LR tree would be one FewT leaf over the work graph
+        # with S* empty (always so unless eps is overridden or c is small):
+        # the round is the family itself, decided in one batch.
+        rnd = HitMissRound(family, [], frozenset(), _FewTBatch(work, f, family.subsets))
+        return rnd, RoundInfo(len(terms), 0, 1, k * work.n, k * work.m,
+                              family_k=k, family_verified=family.verified)
     hm_params = TreeParams(c=params.c, eps_override=eps, singleton_mode=True,
                            enum_budget=params.enum_budget,
                            improve_budget=params.improve_budget,
                            pair_samples=params.pair_samples, seed=params.seed,
                            max_depth=params.max_depth)
-    detectors = []
-    s_star: set[int] = set()
-    trivial = True
-    for sub in family.subsets:
-        det = build_detector(work, sub, f, hm_params, debug=debug, empty_u=True,
-                             pool=pool)
-        detectors.append(det)
-        s_star.update(det.s_star)
-        if not (det.root.is_leaf and det.root.kind is NodeKind.LEAF_FEWT
-                and len(det.root.vset) == work.n):
-            trivial = False
-    batch = _FewTBatch(work, f, family.subsets) if trivial else None
-    return HitMissRound(family, detectors, frozenset(s_star), batch)
-
+    detectors = [build_detector(work, sub, f, hm_params, debug=debug, empty_u=True,
+                                pool=pool)
+                 for sub in family.subsets]
+    s_star = frozenset().union(*(det.s_star for det in detectors))
+    rnd = HitMissRound(family, detectors, s_star)
+    return rnd, RoundInfo(len(terms), len(s_star), max(d.depth for d in detectors),
+                          sum(d.sum_vertices for d in detectors),
+                          sum(d.sum_edges for d in detectors),
+                          family_k=k, family_verified=family.verified)

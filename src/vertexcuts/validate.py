@@ -19,7 +19,8 @@ from .errors import NotFConnected, SizeCapExceeded
 from .graph import (Graph, component_labels, is_cut_bruteforce, is_f_connected,
                     separates_terminals)
 from .labels import build_labels, check_fconnected_warmup, query_labels_scheme
-from .oracle import OracleMode, QueryStats, TreeParams, build_oracle
+from .oracle import (OracleMode, QueryStats, TreeParams, VertexCutOracle,
+                     build_oracle)
 from .reporting import ValidationReport
 
 
@@ -65,62 +66,81 @@ def oracle_equivalence_report(g: Graph, f: int, modes: list[OracleMode],
                               exhaustive_cap: int = 20_000,
                               n_random: int = 2_000, seed: int = 0,
                               stats_slack: int = 8) -> ValidationReport:
-    """VertexCutOracle.query == is_cut_bruteforce over exhaustive (small n) or seeded
-    random queries, plus the per-query stats laws. The f-connected mode is
-    checked at |F| = f with smaller queries answered "not a cut"."""
+    """Build an oracle of g in each mode and check it (check_oracle)."""
     rep = ValidationReport()
-    n_queries = sum(comb(g.n, k) for k in range(f + 1))
-    exhaustive = n_queries <= exhaustive_cap
-    truth_cache: dict[frozenset[int], bool] = {}
-
-    def truth(fs: frozenset[int]) -> bool:
-        if fs not in truth_cache:
-            truth_cache[fs] = is_cut_bruteforce(g, fs)
-        return truth_cache[fs]
-
+    truth_cache: dict[frozenset[int], bool] = {}  # shared by the modes
     for mode in modes:
         try:
             oracle = build_oracle(g, f, mode, params)
         except NotFConnected:
             rep.add(f"{mode.value}-skipped", True, "graph is not f-connected")
             continue
-        if exhaustive:
-            queries = [frozenset(fs) for fs in _subsets_upto(range(g.n), f)]
-        else:
-            rng = random.Random(seed)
-            queries = [frozenset(rng.sample(range(g.n), rng.randint(0, f)))
-                       for _ in range(n_random)]
-        mism = 0
-        stat_bad = 0
-        path_bad = 0
-        for fs in queries:
-            got, stats_list = oracle.query_with_stats(fs)
-            if got != truth(fs):
-                mism += 1
-            for st in stats_list:
-                if not check_query_stats(st, stats_slack):
-                    stat_bad += 1
-                if mode is OracleMode.FCONNECTED:
-                    if st.branch_by_residual:
-                        path_bad += 1
-                    if st.nodes_visited > st.tree_depth + st.step_visits:
-                        path_bad += 1
-        rep.add(f"{mode.value}-equivalence", mism == 0,
-                f"{len(queries)} queries ({'exhaustive' if exhaustive else 'random'}), "
-                f"{mism} mismatches")
-        rep.add(f"{mode.value}-query-stats", stat_bad == 0,
-                f"{stat_bad} stats violations")
-        if mode is OracleMode.FCONNECTED:
-            rep.add("fconnected-single-path", path_bad == 0,
-                    f"{path_bad} multi-path queries")
-        for i, info in enumerate(oracle.round_info):
-            if 2 * info.s_star_count > info.terminal_count:
-                rep.add(f"{mode.value}-terminal-halving", False,
-                        f"round {i}: {info.s_star_count} > {info.terminal_count}/2")
-                break
-        else:
-            rep.add(f"{mode.value}-terminal-halving", True,
-                    f"{len(oracle.round_info)} rounds")
+        sub = check_oracle(oracle, exhaustive_cap, n_random, seed, stats_slack,
+                           truth_cache)
+        rep.checks.extend(sub.checks)
+    return rep
+
+
+def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
+                 n_random: int = 2_000, seed: int = 0,
+                 stats_slack: int = 8,
+                 truth_cache: dict[frozenset[int], bool] | None = None
+                 ) -> ValidationReport:
+    """VertexCutOracle.query == is_cut_bruteforce on oracle.graph over
+    exhaustive (small n) or seeded random queries, plus the per-query stats
+    laws. The f-connected mode is checked at |F| = f with smaller queries
+    answered "not a cut". truth_cache holds brute-force verdicts on
+    oracle.graph, kept across calls by a caller that checks several oracles
+    of one graph."""
+    rep = ValidationReport()
+    g, f, mode = oracle.graph, oracle.f, oracle.mode
+    if truth_cache is None:
+        truth_cache = {}
+
+    def truth(fs: frozenset[int]) -> bool:
+        if fs not in truth_cache:
+            truth_cache[fs] = is_cut_bruteforce(g, fs)
+        return truth_cache[fs]
+
+    n_queries = sum(comb(g.n, k) for k in range(f + 1))
+    exhaustive = n_queries <= exhaustive_cap
+    if exhaustive:
+        queries = [frozenset(fs) for fs in _subsets_upto(range(g.n), f)]
+    else:
+        rng = random.Random(seed)
+        queries = [frozenset(rng.sample(range(g.n), rng.randint(0, f)))
+                   for _ in range(n_random)]
+    mism = 0
+    stat_bad = 0
+    path_bad = 0
+    for fs in queries:
+        got, stats_list = oracle.query_with_stats(fs)
+        if got != truth(fs):
+            mism += 1
+        for st in stats_list:
+            if not check_query_stats(st, stats_slack):
+                stat_bad += 1
+            if mode is OracleMode.FCONNECTED:
+                if st.branch_by_residual:
+                    path_bad += 1
+                if st.nodes_visited > st.tree_depth + st.step_visits:
+                    path_bad += 1
+    rep.add(f"{mode.value}-equivalence", mism == 0,
+            f"{len(queries)} queries ({'exhaustive' if exhaustive else 'random'}), "
+            f"{mism} mismatches")
+    rep.add(f"{mode.value}-query-stats", stat_bad == 0,
+            f"{stat_bad} stats violations")
+    if mode is OracleMode.FCONNECTED:
+        rep.add("fconnected-single-path", path_bad == 0,
+                f"{path_bad} multi-path queries")
+    for i, info in enumerate(oracle.round_info):
+        if 2 * info.s_star_count > info.terminal_count:
+            rep.add(f"{mode.value}-terminal-halving", False,
+                    f"round {i}: {info.s_star_count} > {info.terminal_count}/2")
+            break
+    else:
+        rep.add(f"{mode.value}-terminal-halving", True,
+                f"{len(oracle.round_info)} rounds")
     return rep
 
 

@@ -1,7 +1,10 @@
-"""Shared graph constructions for the test suite."""
+"""Shared graph constructions, references and container edits for the test
+suite."""
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from itertools import combinations
 
 from vertexcuts.graph import Graph, component_labels
@@ -108,3 +111,52 @@ def cut_via_components(g: Graph, f_set) -> bool:
     """Cut verdict via component counting; tolerates disconnected inputs."""
     labels = component_labels(g, f_set)
     return max(labels, default=-1) + 1 >= 2
+
+
+def family_property_reference(subsets, t_list, f) -> bool:
+    """Reference hit-miss check: for every F in T with |F| <= f, the subsets
+    missing F, restricted to T - F, must cover every pair u, v (u = v
+    included) of T - F."""
+    import numpy as np
+    t = len(t_list)
+    k = len(subsets)
+    idx = {v: i for i, v in enumerate(t_list)}
+    member = np.zeros((k, t), dtype=bool)
+    for i, sub in enumerate(subsets):
+        for v in sub:
+            member[i, idx[v]] = True
+    for size in range(0, f + 1):
+        for fs in combinations(range(t), size):
+            miss = ~member[:, fs].any(axis=1) if fs else np.ones(k, dtype=bool)
+            live = np.ones(t, dtype=bool)
+            live[list(fs)] = False
+            if not live.any():
+                continue
+            sub = member[miss][:, live]
+            cov = sub.T.astype(np.int32) @ sub.astype(np.int32)
+            if not (cov > 0).all():
+                return False
+    return True
+
+
+def container(manifest: bytes, payload: bytes, mlen: int | None = None,
+              version: int | None = None) -> bytes:
+    """An oracle container laid out as io.oracle_to_bytes lays it out, with a
+    valid checksum over whatever the parts hold."""
+    from vertexcuts.io import FORMAT_VERSION, MAGIC
+    body = (MAGIC + struct.pack("<H", FORMAT_VERSION if version is None else version)
+            + struct.pack("<Q", len(manifest) if mlen is None else mlen) + manifest
+            + struct.pack("<Q", len(payload)) + payload)
+    return body + hashlib.sha256(body).digest()
+
+
+def container_parts(data: bytes) -> tuple[bytes, bytes]:
+    """The manifest and payload bytes of a well-formed container."""
+    mlen = struct.unpack("<Q", data[6:14])[0]
+    plen = struct.unpack("<Q", data[14 + mlen:22 + mlen])[0]
+    return data[14:14 + mlen], data[22 + mlen:22 + mlen + plen]
+
+
+def rechecksummed(data: bytes) -> bytes:
+    """data with its last 32 bytes replaced by the SHA-256 of the rest."""
+    return data[:-32] + hashlib.sha256(data[:-32]).digest()

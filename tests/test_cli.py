@@ -5,11 +5,12 @@ import os
 
 import pytest
 
+from helpers import container, container_parts
 from vertexcuts.cli import main
 from vertexcuts.errors import InvalidParams
 from vertexcuts.graph import Graph
-from vertexcuts.io import (format_edgelist, parse_edgelist, parse_query_arg,
-                           parse_query_text)
+from vertexcuts.io import (canonical_json_bytes, format_edgelist, parse_edgelist,
+                           parse_query_arg, parse_query_text)
 
 
 def test_edgelist_round_trip():
@@ -121,6 +122,34 @@ def test_validate_corrupted_oracle(graph_file, tmp_path, capsys):
     bad_path.write_bytes(bytes(data))
     assert main(["validate", "--oracle", str(bad_path)]) == 1
     assert main(["validate", "--oracle", str(oracle_path)]) == 0
+
+
+def test_validate_queries_the_loaded_oracle(graph_file, tmp_path, capsys):
+    # The same container with a path graph in place of the input graph: the
+    # loaded oracle still answers for the input graph, so it disagrees with
+    # brute force on the stored one.
+    oracle_path = tmp_path / "g.vco"
+    main(["build", "--input", str(graph_file), "--f", "2", "--out", str(oracle_path)])
+    manifest, payload = container_parts(oracle_path.read_bytes())
+    swapped = json.loads(payload)
+    swapped["graph"] = {"n": 14, "edges": [[i, i + 1] for i in range(13)],
+                        "root_ids": list(range(14))}
+    bad_path = tmp_path / "swapped.vco"
+    bad_path.write_bytes(container(manifest, canonical_json_bytes(swapped)))
+    assert main(["validate", "--oracle", str(bad_path)]) == 1
+    assert "mismatches" in capsys.readouterr().out
+
+
+def test_validate_checks_a_large_fconnected_oracle(tmp_path, capsys):
+    graph_path, oracle_path = tmp_path / "f.edges", tmp_path / "f.vco"
+    main(["gen", "--kind", "fconnected", "--n", "80", "--f", "3", "--seed", "2",
+          "--out", str(graph_path)])
+    assert main(["build", "--input", str(graph_path), "--f", "3", "--mode",
+                 "fconnected", "--attest-f-connected", "--out", str(oracle_path)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--oracle", str(oracle_path)]) == 0
+    out = capsys.readouterr().out
+    assert "fconnected-equivalence" in out and "skipped" not in out
 
 
 def test_validate_requires_input():

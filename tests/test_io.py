@@ -1,20 +1,22 @@
 """The oracle container on load: round summaries and shared connectivity
-oracles survive a save/load round trip, and malformed containers are
-rejected with a library error."""
+oracles survive a save/load round trip, and malformed containers, fuzzed
+by truncation, length fields and re-checksummed byte edits, either load or
+are rejected with a library error."""
 
-import hashlib
 import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import barbell_graph, path_graph, subsets_upto, two_blob_graph
+from helpers import (barbell_graph, container, container_parts, cycle_graph,
+                     path_graph, rechecksummed, subsets_upto, two_blob_graph)
 from vertexcuts.decomposition import TreeParams
-from vertexcuts.errors import InvalidParams
+from vertexcuts.errors import InvalidParams, VertexCutsError
 from vertexcuts.generators import gen_connected_gnp
-from vertexcuts.io import (FORMAT_VERSION, MAGIC, canonical_json_bytes, load_oracle,
-                           oracle_from_bytes, oracle_payload, oracle_to_bytes,
-                           save_oracle)
+from vertexcuts.io import (canonical_json_bytes, load_oracle, oracle_from_bytes,
+                           oracle_payload, oracle_to_bytes, save_oracle)
 from vertexcuts.oracle import HitMissRound, OracleMode, build_oracle
 
 DEEP = TreeParams(eps_override=Fraction(1, 2))
@@ -25,6 +27,8 @@ CASES = [
      TreeParams(eps_override=Fraction(1, 4))),
     (path_graph(4), 1, OracleMode.HITMISS, None),
     (barbell_graph(4), 1, OracleMode.HITMISS, None),
+    (two_blob_graph(8, 2, 0.5, 9), 1, OracleMode.HITMISS,
+     TreeParams(eps_override=Fraction(1, 3))),
 ]
 
 
@@ -70,10 +74,13 @@ def test_reload_shares_connectivity_oracles_as_built(g, f, mode, params):
 
 
 def test_leaves_over_one_graph_share_one_oracle():
-    # every hit-miss detector is a single leaf over the whole work graph
-    o = build_oracle(path_graph(4), 1, OracleMode.HITMISS)
+    # a hit-miss subset with few terminals is a single leaf over the whole
+    # work graph; eps is overridden so that other subsets split
+    o = build_oracle(two_blob_graph(8, 2, 0.5, 9), 1, OracleMode.HITMISS,
+                     TreeParams(eps_override=Fraction(1, 3)))
+    assert o.rounds[0].batch is None
     for oracle in (o, oracle_from_bytes(oracle_to_bytes(o))):
-        dets = list(leaves(oracle))
+        dets = [d for d in leaves(oracle) if d.graph.n == oracle.work.n]
         assert len(dets) > 1 and len({id(d.conn) for d in dets}) == 1
 
 
@@ -91,29 +98,88 @@ def test_leaf_interning_matches_whole_graphs():
     assert b.query([1]) is DetectorAnswer.FAIL
 
 
-def rechecksummed(manifest: bytes, payload: bytes, mlen: int | None = None) -> bytes:
-    """A container laid out as oracle_to_bytes lays it out, with a valid
-    checksum over whatever the parts hold."""
-    body = (MAGIC + struct.pack("<H", FORMAT_VERSION)
-            + struct.pack("<Q", len(manifest) if mlen is None else mlen) + manifest
-            + struct.pack("<Q", len(payload)) + payload)
-    return body + hashlib.sha256(body).digest()
-
-
 def test_malformed_checksummed_containers_raise_invalid_params():
     o = build_oracle(barbell_graph(5), 2, params=DEEP)
     manifest = canonical_json_bytes(o.manifest)
     payload = oracle_payload(o)
-    assert oracle_from_bytes(rechecksummed(manifest, canonical_json_bytes(payload)))
+    assert oracle_from_bytes(container(manifest, canonical_json_bytes(payload)))
     no_f = {k: v for k, v in payload.items() if k != "f"}
     no_root = dict(payload, rounds=[{k: v for k, v in payload["rounds"][0].items()
                                      if k != "root"}] + payload["rounds"][1:])
+    zero_eps = dict(payload, rounds=[dict(payload["rounds"][0], eps="1/0")]
+                    + payload["rounds"][1:])
     bad = [
-        rechecksummed(manifest, canonical_json_bytes(no_f)),
-        rechecksummed(manifest, canonical_json_bytes(no_root)),
-        rechecksummed(manifest, b"not json"),
-        rechecksummed(manifest, canonical_json_bytes(payload), mlen=1 << 20),
+        container(manifest, canonical_json_bytes(zero_eps)),
+        container(manifest, canonical_json_bytes(no_f)),
+        container(manifest, canonical_json_bytes(no_root)),
+        container(manifest, b"not json"),
+        container(manifest, canonical_json_bytes(payload), mlen=1 << 20),
     ]
     for data in bad:
         with pytest.raises(InvalidParams, match="malformed"):
             oracle_from_bytes(data)
+
+
+def test_family_outside_the_work_graph_is_rejected():
+    o = build_oracle(path_graph(5), 1, OracleMode.HITMISS)
+    manifest = canonical_json_bytes(o.manifest)
+    payload = oracle_payload(o)
+    family = payload["rounds"][0]["family"]
+    for edit in ({"subsets": [[-1, 0]] + family["subsets"][1:]},
+                 {"t_set": family["t_set"] + [5], "subsets": [[5]] + family["subsets"]}):
+        bad = dict(payload, rounds=[dict(payload["rounds"][0], family=dict(family, **edit))])
+        with pytest.raises(VertexCutsError):
+            oracle_from_bytes(container(manifest, canonical_json_bytes(bad)))
+
+
+FUZZ = {mode: oracle_to_bytes(build_oracle(g, f, mode)) for g, f, mode in [
+    (gen_connected_gnp(9, 0.4, 3), 2, OracleMode.GENERAL),
+    (cycle_graph(6), 2, OracleMode.FCONNECTED),
+    (path_graph(5), 1, OracleMode.HITMISS),
+]}
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+def loads_or_raises_library_error(data: bytes) -> None:
+    try:
+        oracle_from_bytes(data)
+    except VertexCutsError:
+        pass
+
+
+@pytest.mark.parametrize("mode", list(FUZZ))
+@FUZZ_SETTINGS
+@given(st.data())
+def test_fuzz_truncated_container(mode, data):
+    blob = FUZZ[mode]
+    loads_or_raises_library_error(blob[:data.draw(st.integers(0, len(blob) - 1))])
+
+
+@pytest.mark.parametrize("mode", list(FUZZ))
+@FUZZ_SETTINGS
+@given(st.booleans(), st.integers(0, 2 ** 64 - 1))
+def test_fuzz_length_fields(mode, payload_field, length):
+    manifest, payload = container_parts(FUZZ[mode])
+    if payload_field:
+        data = bytearray(container(manifest, payload))
+        data[14 + len(manifest):22 + len(manifest)] = struct.pack("<Q", length)
+        loads_or_raises_library_error(rechecksummed(bytes(data)))
+    else:
+        loads_or_raises_library_error(container(manifest, payload, mlen=length))
+
+
+@pytest.mark.parametrize("mode", list(FUZZ))
+@FUZZ_SETTINGS
+@given(st.data())
+def test_fuzz_rechecksummed_byte_edits(mode, data):
+    blob = bytearray(FUZZ[mode])
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(blob) - 33))
+        blob[pos] = data.draw(st.integers(0, 255))
+    loads_or_raises_library_error(rechecksummed(bytes(blob)))
+
+
+def test_version_1_container_is_rejected():
+    manifest, payload = container_parts(FUZZ[OracleMode.HITMISS])
+    with pytest.raises(InvalidParams, match="unsupported container version 1"):
+        oracle_from_bytes(container(manifest, payload, version=1))

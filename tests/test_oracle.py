@@ -6,18 +6,23 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (barbell_graph, complete_graph, cycle_graph, path_graph,
-                     star_graph, subsets_upto, two_blob_graph)
+from helpers import (barbell_graph, complete_graph, cycle_graph,
+                     family_property_reference, path_graph, star_graph,
+                     subsets_upto, two_blob_graph)
+from vertexcuts.connectivity import build_conn_oracle
 from vertexcuts.decomposition import NodeKind, TreeParams
-from vertexcuts.detectors import DetectorAnswer
+from vertexcuts.detectors import DetectorAnswer, build_fewt
 from vertexcuts.errors import (DisconnectedInput, InvalidParams, NotFConnected,
                                TooManyFailures, VerificationFailed, WrongQuerySize)
 from vertexcuts.generators import gen_connected_gnp, gen_f_connected, gen_lb_family
 from vertexcuts.graph import Graph, is_cut_bruteforce
 from vertexcuts.io import oracle_from_bytes, oracle_to_bytes
-from vertexcuts.oracle import (OracleMode, build_detector, build_hit_miss_family,
-                               build_oracle, query_detector_fconnected)
+from vertexcuts.oracle import (OracleMode, _family_property_holds, build_detector,
+                               build_hit_miss_family, build_oracle,
+                               query_detector_fconnected)
 from vertexcuts.validate import check_query_stats
 
 P4 = path_graph(4)
@@ -180,8 +185,43 @@ def test_hit_miss_family_examples():
         build_hit_miss_family([0, 1], 0, 8)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_packed_family_check_matches_reference(data):
+    f = data.draw(st.integers(1, 3), label="f")
+    t_list = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=12),
+                              label="T"))
+    if data.draw(st.booleans(), label="verified family, one subset dropped"):
+        fam = build_hit_miss_family(t_list, f, 8, seed=data.draw(st.integers(0, 99)),
+                                    constant=0.1)
+        subsets = list(fam.subsets)
+        del subsets[data.draw(st.integers(0, len(subsets) - 1))]
+    else:
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(t_list)).map(frozenset),
+                                     min_size=1, max_size=70), label="subsets")
+    assert (_family_property_holds(subsets, t_list, f)
+            == family_property_reference(subsets, t_list, f))
+
+
+def test_hitmiss_chain_sized_family_is_checked_exhaustively():
+    fam = build_hit_miss_family(range(106), 2, 106, seed=0)
+    assert fam.verified == "exhaustive" and fam.k > 2000
+    # drop every subset that covers the pair {2, 3} for F = {0, 1}
+    kept = [s for s in fam.subsets if not ({2, 3} <= s and not s & {0, 1})]
+    assert len(kept) < fam.k
+    assert not _family_property_holds(kept, list(range(106)), 2)
+
+
+def test_family_check_samples_past_the_cap(monkeypatch):
+    import vertexcuts.oracle as vo
+    monkeypatch.setattr(vo, "FAMILY_CHECK_CAP", 10)
+    assert build_hit_miss_family(range(10), 2, 16, seed=3).verified == "sampled"
+
+
 def test_hitmiss_oracle_exhaustive():
-    for g, f in [(P4, 1), (K4, 2), (gen_connected_gnp(16, 0.4, 33), 2)]:
+    # F = V on the one-edge graph leaves no live vertex
+    for g, f in [(P4, 1), (K4, 2), (gen_connected_gnp(16, 0.4, 33), 2),
+                 (Graph(2, [(0, 1)]), 2)]:
         o = build_oracle(g, f, OracleMode.HITMISS)
         for fs in subsets_upto(g.n, f):
             assert o.query(fs) == is_cut_bruteforce(g, fs), fs
@@ -191,16 +231,15 @@ def test_hitmiss_never_queries_hit_subsets():
     g = gen_connected_gnp(14, 0.35, 71)
     o = build_oracle(g, 2, OracleMode.HITMISS)
     rnd = o.rounds[0]
+    conn = build_conn_oracle(o.work, 2)
     rng = random.Random(4)
     for _ in range(50):
         fs = frozenset(rng.sample(range(14), 2))
-        # replay the documented query rule next to the batch evaluation
-        missed = [i for i, s in enumerate(rnd.family.subsets) if not (s & fs)]
+        # replay the documented query rule: one FewT leaf per subset missing F
+        missed = [s for s in rnd.family.subsets if not (s & fs)]
         got = o.query(fs)
-        manual = False
-        for i in missed:
-            ans, _ = rnd.detectors[i].query(fs)
-            manual = manual or ans is DetectorAnswer.CUT
+        manual = any(build_fewt(o.work, sub, 2, conn).query(fs) is DetectorAnswer.CUT
+                     for sub in missed)
         assert got == manual == is_cut_bruteforce(g, fs)
 
 
@@ -209,11 +248,11 @@ def test_hitmiss_deep_tree_with_singletons():
     # representatives and empty-U US detectors.
     g = two_blob_graph(12, 2, 0.5, 13)
     o = build_oracle(g, 1, OracleMode.HITMISS,
-                     params=TreeParams(eps_override=Fraction(1, 3)),
-                     family_exhaustive_limit=32)
+                     params=TreeParams(eps_override=Fraction(1, 3)))
     deep = False
     for rnd in o.rounds:
         assert rnd.family.verified == "exhaustive"
+        assert (rnd.batch is None) == (len(rnd.detectors) == rnd.family.k)
         for det in rnd.detectors:
             if not det.root.is_leaf:
                 deep = True
@@ -224,19 +263,33 @@ def test_hitmiss_deep_tree_with_singletons():
         assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
+def test_default_hitmiss_round_is_the_family_alone():
+    g = gen_connected_gnp(16, 0.4, 33)
+    o = build_oracle(g, 2, OracleMode.HITMISS)
+    assert len(o.rounds) == 1
+    rnd, info = o.rounds[0], o.round_info[0]
+    assert rnd.detectors == [] and rnd.batch is not None
+    assert rnd.s_star == frozenset()
+    k = rnd.family.k
+    assert (info.depth, info.s_star_count, info.family_k) == (1, 0, k)
+    assert (info.sum_vertices, info.sum_edges) == (k * o.work.n, k * o.work.m)
+
+
 def test_batch_matches_per_detector_path():
     g = gen_connected_gnp(12, 0.35, 55)
     o = build_oracle(g, 2, OracleMode.HITMISS)
     rnd = o.rounds[0]
     assert rnd.batch is not None
+    conn = build_conn_oracle(o.work, 2)
+    leaves = [build_fewt(o.work, sub, 2, conn) for sub in rnd.family.subsets]
     for fs in list(subsets_upto(12, 2))[:150]:
         fset = frozenset(fs)
         ans, _ = rnd.batch.query(fset)
         manual = DetectorAnswer.FAIL
-        for sub, det in zip(rnd.family.subsets, rnd.detectors):
+        for sub, det in zip(rnd.family.subsets, leaves):
             if sub & fset:
                 continue
-            if det.query(fset)[0] is DetectorAnswer.CUT:
+            if det.query(fset) is DetectorAnswer.CUT:
                 manual = DetectorAnswer.CUT
                 break
         assert ans == manual
@@ -246,7 +299,9 @@ def test_batch_only_counts_subsets_that_miss_f():
     from vertexcuts.oracle import _FewTBatch
     batch = _FewTBatch(path_graph(5), 1, (frozenset({0, 1, 4}), frozenset({3})))
     # F = {1} splits 0 from 4, but the only subset holding both meets F
-    assert batch.query(frozenset({1}))[0] is DetectorAnswer.FAIL
+    ans, stats = batch.query(frozenset({1}))
+    assert ans is DetectorAnswer.FAIL and stats.detector_queries == 1
+    assert batch.query(frozenset())[1].detector_queries == 2
     assert batch.query(frozenset({2}))[0] is DetectorAnswer.CUT
 
 
