@@ -23,8 +23,9 @@ from typing import Iterable, Optional
 
 from .errors import (ContractUnsatisfiable, DisconnectedInput, InvalidCut,
                      InvalidParams, SizeCapExceeded)
-from .graph import (Graph, component_labels, components, is_cut_bruteforce,
-                    is_terminal_expander, separates_terminals)
+from .graph import (Graph, _reconstruct, _separators_within, _subset_sum_states,
+                    _terminal_counts, is_cut_bruteforce, is_terminal_expander,
+                    min_st_separator, separates_terminals)
 from .reporting import ValidationReport
 
 
@@ -116,36 +117,6 @@ class SparseCutResult:
     certificate: str = ""  # "enumeration" or "connectivity-bound" for expanders
 
 
-def _subset_sum_states(counts: list[int]):
-    """DP over component terminal counts. State = (sum, used_any, excluded_any).
-    Returns one backpointer layer per component so groupings can be rebuilt."""
-    layers: list[dict[tuple[int, bool, bool], object]] = [{(0, False, False): None}]
-    for c in counts:
-        prev = layers[-1]
-        new: dict[tuple[int, bool, bool], object] = {}
-        for st in sorted(prev):
-            s, u, e = st
-            take = (s + c, True, e)
-            skip = (s, u, True)
-            if take not in new:
-                new[take] = (st, True)
-            if skip not in new:
-                new[skip] = (st, False)
-        layers.append(new)
-    return layers
-
-
-def _reconstruct(layers, target) -> list[int]:
-    taken = []
-    st = target
-    for i in range(len(layers) - 1, 0, -1):
-        prev, took = layers[i][st]
-        if took:
-            taken.append(i - 1)
-        st = prev
-    return taken
-
-
 def _try_balanced(g: Graph, sep: tuple[int, ...], ts: frozenset[int],
                   eps: Fraction, t_all: int, f: int) -> VertexCutPartition | None:
     """Group the components of g - sep into a balanced sparse T-cut, if any
@@ -157,15 +128,9 @@ def _try_balanced(g: Graph, sep: tuple[int, ...], ts: frozenset[int],
     explicit filter guarantees that splitting always shrinks both children,
     so the recursion terminates under any eps override.
     """
-    labels = component_labels(g, sep)
-    ncomp = max(labels, default=-1) + 1
-    if ncomp < 2:
+    labels, counts, t_in_s = _terminal_counts(g, sep, ts)
+    if len(counts) < 2:
         return None
-    counts = [0] * ncomp
-    for t in ts:
-        if labels[t] >= 0:
-            counts[labels[t]] += 1
-    t_in_s = sum(1 for v in sep if v in ts)
     live = t_all - t_in_s
     layers = _subset_sum_states(counts)
     s_size = len(sep)
@@ -202,59 +167,6 @@ def _try_balanced(g: Graph, sep: tuple[int, ...], ts: frozenset[int],
     if s_size > eps * (t_in_s + len(left & ts)):
         return None
     return cut
-
-
-def _min_st_separator(g: Graph, s: int, t: int, cap: int) -> list[int] | None:
-    """Minimum s-t vertex separator if its size is <= cap, else None.
-    Unit-capacity split-graph max-flow with BFS augmentation."""
-    from collections import deque
-    nn = 2 * g.n
-    capm: dict[tuple[int, int], int] = {}
-    big = g.n + cap + 2
-    for v in range(g.n):
-        capm[(2 * v, 2 * v + 1)] = big if v in (s, t) else 1
-    for u, v in g.edges:
-        capm[(2 * u + 1, 2 * v)] = big
-        capm[(2 * v + 1, 2 * u)] = big
-    out: list[list[int]] = [[] for _ in range(nn)]
-    for (a, b) in list(capm):
-        out[a].append(b)
-        if (b, a) not in capm:
-            capm[(b, a)] = 0
-            out[b].append(a)
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow <= cap:
-        prev = [-1] * nn
-        prev[source] = source
-        queue = deque([source])
-        while queue and prev[sink] == -1:
-            a = queue.popleft()
-            for b in out[a]:
-                if prev[b] == -1 and capm[(a, b)] > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if prev[sink] == -1:
-            break
-        b = sink
-        while b != source:
-            a = prev[b]
-            capm[(a, b)] -= 1
-            capm[(b, a)] += 1
-            b = a
-        flow += 1
-    else:
-        return None  # min cut exceeds cap
-    reach = [False] * nn
-    reach[source] = True
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in out[a]:
-            if not reach[b] and capm[(a, b)] > 0:
-                reach[b] = True
-                queue.append(b)
-    return sorted(v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1])
 
 
 def _certify_expansion(g: Graph, ts: frozenset[int], improve_budget: int) -> tuple[Fraction, str]:
@@ -298,8 +210,7 @@ def find_balanced_or_expander(g: Graph, t_set: Iterable[int], eps, f: int,
     bound = eps * t_all
     s_max = min(int(bound), g.n - 2)
     if s_max >= 1:
-        work = sum(comb(g.n, k) for k in range(1, s_max + 1))
-        if work <= enum_budget:
+        if _separators_within(g.n, s_max, enum_budget):
             for size in range(1, s_max + 1):
                 for sep in combinations(range(g.n), size):
                     cut = _try_balanced(g, sep, ts, eps, t_all, f)
@@ -317,7 +228,7 @@ def find_balanced_or_expander(g: Graph, t_set: Iterable[int], eps, f: int,
             for s, t in pairs:
                 if g.has_edge(s, t):
                     continue
-                sep = _min_st_separator(g, s, t, s_max)
+                sep = min_st_separator(g, s, t, s_max)
                 if sep is None or not sep or tuple(sep) in seen:
                     continue
                 seen.add(tuple(sep))

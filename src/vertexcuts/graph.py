@@ -1,8 +1,14 @@
-"""Graph representation and ground-truth cut machinery.
+"""Graph representation, ground-truth cut machinery and the exact checks
+the decomposition stands on.
 
-Everything here is pure and brute-force oriented: these routines are the
-independent reference that the oracle/label structures are tested against,
-so they stay deliberately simple (plain BFS / DSU / enumeration).
+``component_labels``, ``is_cut_bruteforce`` and ``separates_terminals`` are
+the naive reference that the oracle/label structures are tested against, so
+they stay deliberately simple (plain BFS). The exact checks share two
+kernels with the sparse-cut finder in ``decomposition``: the split-graph
+max-flow ``min_st_separator`` (behind ``is_f_connected`` and
+``min_vertex_cut_size``, cross-checked against networkx in the tests) and
+the component-grouping DP ``_subset_sum_states`` (behind
+``is_terminal_expander``).
 
 Vertex ids are dense 0..n-1. A subgraph carries ``root_ids`` mapping its
 local ids back to the ids of the graph it was cut from, so that
@@ -244,32 +250,57 @@ def sparsify(g: Graph, f: int) -> Graph:
     return Graph(n, kept, root_ids=g.root_ids)
 
 
-def _achievable_min_side(counts: Sequence[int], total: int) -> int:
-    """Max over groupings of components into two nonempty groups of
-    min(terminals in group, terminals outside). Bitmask subset-sum DP where
-    dp[used][excluded] tracks sums with >= 1 component taken / left out.
-    """
-    dp = [[0, 0], [0, 0]]
-    dp[0][0] = 1
+def _subset_sum_states(counts: list[int]):
+    """DP over component terminal counts. State = (sum, used_any, excluded_any).
+    Returns one backpointer layer per component so groupings can be rebuilt."""
+    layers: list[dict[tuple[int, bool, bool], object]] = [{(0, False, False): None}]
     for c in counts:
-        ndp = [[0, 0], [0, 0]]
-        for u in (0, 1):
-            for e in (0, 1):
-                mask = dp[u][e]
-                if not mask:
-                    continue
-                ndp[1][e] |= mask << c
-                ndp[u][1] |= mask
-        dp = ndp
-    mask = dp[1][1]
-    best = -1
-    s = 0
-    while mask:
-        if mask & 1:
-            best = max(best, min(s, total - s))
-        mask >>= 1
-        s += 1
-    return best
+        prev = layers[-1]
+        new: dict[tuple[int, bool, bool], object] = {}
+        for st in sorted(prev):
+            s, u, e = st
+            take = (s + c, True, e)
+            skip = (s, u, True)
+            if take not in new:
+                new[take] = (st, True)
+            if skip not in new:
+                new[skip] = (st, False)
+        layers.append(new)
+    return layers
+
+
+def _reconstruct(layers, target) -> list[int]:
+    taken = []
+    st = target
+    for i in range(len(layers) - 1, 0, -1):
+        prev, took = layers[i][st]
+        if took:
+            taken.append(i - 1)
+        st = prev
+    return taken
+
+
+def _terminal_counts(g: Graph, sep: Iterable[int], ts: frozenset[int] | set[int]
+                     ) -> tuple[list[int], list[int], int]:
+    """Component labels of g - sep, the terminal count of each component,
+    and |ts ∩ sep|."""
+    labels = component_labels(g, sep)
+    counts = [0] * (max(labels, default=-1) + 1)
+    for t in ts:
+        if labels[t] >= 0:
+            counts[labels[t]] += 1
+    return labels, counts, sum(1 for v in sep if v in ts)
+
+
+def _separators_within(n: int, s_max: int, budget: int) -> bool:
+    """True iff there are at most budget separators of 1..s_max vertices out
+    of n. Stops summing binomials as soon as the total passes the budget."""
+    total = 0
+    for k in range(1, s_max + 1):
+        total += comb(n, k)
+        if total > budget:
+            return False
+    return True
 
 
 def is_terminal_expander(g: Graph, t_set: Iterable[int], phi,
@@ -278,8 +309,8 @@ def is_terminal_expander(g: Graph, t_set: Iterable[int], phi,
     |S| >= phi * min(|T ∩ (L∪S)|, |T ∩ (R∪S)|).
 
     Any violating separator has |S| < phi*|T|, so only subsets below that
-    size are enumerated; for each disconnecting S, a subset-sum DP over
-    component terminal counts searches for a violating two-sided grouping.
+    size are enumerated; for each disconnecting S, the last layer of the
+    grouping DP over component terminal counts gives every two-sided split.
     """
     phi = Fraction(phi)
     if not (0 < phi <= 1):
@@ -292,81 +323,79 @@ def is_terminal_expander(g: Graph, t_set: Iterable[int], phi,
     bound = phi * t_count  # violating S has |S| < bound
     s_max = int(bound) - 1 if bound.denominator == 1 else int(bound)
     s_max = min(s_max, g.n - 2)  # a cut leaves at least 2 vertices
-    if s_max < 0:
-        s_max = -1
-    work = sum(comb(g.n, k) for k in range(1, s_max + 1))
-    if work > work_budget:
-        raise SizeCapExceeded(f"enumeration of {work} separators exceeds budget")
+    if not _separators_within(g.n, s_max, work_budget):
+        raise SizeCapExceeded(f"enumerating separators of up to {s_max} of {g.n} "
+                              f"vertices exceeds budget {work_budget}")
     tset = set(ts)
     for size in range(0, s_max + 1):
         for sep in combinations(range(g.n), size):
-            labels = component_labels(g, sep)
-            ncomp = max(labels, default=-1) + 1
-            if ncomp < 2:
+            _, counts, t_in_s = _terminal_counts(g, sep, tset)
+            if len(counts) < 2:
                 continue
-            counts = [0] * ncomp
-            for t in ts:
-                if labels[t] >= 0:
-                    counts[labels[t]] += 1
-            t_in_s = sum(1 for v in sep if v in tset)
-            best = _achievable_min_side(counts, t_count - t_in_s)
-            if best < 0:
-                continue
+            live = t_count - t_in_s
+            best = max(min(x, live - x)
+                       for (x, used, excl) in _subset_sum_states(counts)[-1]
+                       if used and excl)
             if size < phi * (t_in_s + best):
                 return False
     return True
 
 
-def _st_vertex_flow_at_least(g: Graph, s: int, t: int, k: int) -> bool:
-    """True iff >= k internally vertex-disjoint s-t paths exist (s,t non-adjacent).
+def min_st_separator(g: Graph, s: int, t: int, cap: int) -> list[int] | None:
+    """Minimum s-t vertex separator (s, t distinct and non-adjacent) as a
+    sorted list, or None when it has more than cap vertices.
 
-    Unit-capacity vertex-split max-flow with BFS augmentation, stopping at k.
-    Nodes 2v = v_in, 2v+1 = v_out; internal arc capacity 1 except at s,t.
+    Even-Tarjan unit-capacity max-flow on the split graph: vertex v becomes
+    the arc v_in = 2v -> v_out = 2v+1 of capacity 1, each edge uv the arcs
+    u_out -> v_in and v_out -> u_in of capacity n. Arcs live in flat lists,
+    and the reverse of arc i is arc i ^ 1. BFS looks for at most cap + 1
+    augmenting paths from s_out to t_in. The separator is read from the last
+    BFS, which found none: the vertices whose v_in it reaches and whose v_out
+    it does not. That source side is the same for every maximum flow.
     """
-    nn = 2 * g.n
-    cap: dict[tuple[int, int], int] = {}
-    big = g.n + k + 1
-    for v in range(g.n):
-        cap[(2 * v, 2 * v + 1)] = big if v in (s, t) else 1
+    n = g.n
+    head: list[int] = []  # arc i runs from head[i ^ 1] to head[i]
+    for v in range(n):
+        head += (2 * v + 1, 2 * v)
     for u, v in g.edges:
-        cap[(2 * u + 1, 2 * v)] = big
-        cap[(2 * v + 1, 2 * u)] = big
-    out: list[list[int]] = [[] for _ in range(nn)]
-    for (a, b) in list(cap):
-        out[a].append(b)
-        if (b, a) not in cap:
-            cap[(b, a)] = 0
-            out[b].append(a)
+        head += (2 * v, 2 * u + 1, 2 * u, 2 * v + 1)
+    res = [1, 0] * n + [n, 0] * (2 * g.m)  # residual capacities
+    out: list[list[int]] = [[] for _ in range(2 * n)]
+    for i in range(len(head)):
+        out[head[i ^ 1]].append(i)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while flow < k:
-        prev = [-1] * nn
-        prev[source] = source
+    while True:
+        via = [-1] * (2 * n)  # arc that reached each node; -2 at the source
+        via[source] = -2
         queue = deque([source])
-        while queue and prev[sink] == -1:
+        while queue and via[sink] == -1:
             a = queue.popleft()
-            for b in out[a]:
-                if prev[b] == -1 and cap[(a, b)] > 0:
-                    prev[b] = a
+            for i in out[a]:
+                b = head[i]
+                if via[b] == -1 and res[i] > 0:
+                    via[b] = i
                     queue.append(b)
-        if prev[sink] == -1:
-            return False
+        if via[sink] == -1:
+            return [v for v in range(n) if via[2 * v] != -1 and via[2 * v + 1] == -1]
+        if flow == cap:
+            return None
         b = sink
         while b != source:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+            i = via[b]
+            res[i] -= 1
+            res[i ^ 1] += 1
+            b = head[i ^ 1]
         flow += 1
-    return True
 
 
 def is_f_connected(g: Graph, f: int) -> bool:
     """True iff g has no vertex cut of size < f.
 
     Complete graphs have no vertex cuts at all, hence are f-connected for
-    every f. Otherwise this reduces to vertex connectivity >= f, checked by
-    max-flow between f+1 pivot vertices and their non-neighbors.
+    every f. Otherwise this reduces to vertex connectivity >= f: no
+    separator of at most f-1 vertices between f+1 pivot vertices and their
+    non-neighbors (min_st_separator).
     """
     if f <= 0:
         return True
@@ -383,7 +412,7 @@ def is_f_connected(g: Graph, f: int) -> bool:
         for t in range(g.n):
             if t == s or t in nbhd:
                 continue
-            if not _st_vertex_flow_at_least(g, s, t, f):
+            if min_st_separator(g, s, t, f - 1) is not None:
                 return False
     return True
 

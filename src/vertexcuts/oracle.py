@@ -680,9 +680,10 @@ def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
     if all(len(sub) <= threshold for sub in family.subsets):
         # Every per-subset LR tree would be one FewT leaf over the work graph
         # with S* empty (always so unless eps is overridden or c is small):
-        # the round is the family itself, decided in one batch.
+        # the round is the family itself, decided in one batch over the one
+        # work graph, whose sizes it records.
         rnd = HitMissRound(family, [], frozenset(), _FewTBatch(work, f, family.subsets))
-        return rnd, RoundInfo(len(terms), 0, 1, k * work.n, k * work.m,
+        return rnd, RoundInfo(len(terms), 0, 1, work.n, work.m,
                               family_k=k, family_verified=family.verified)
     hm_params = TreeParams(c=params.c, eps_override=eps, singleton_mode=True,
                            enum_budget=params.enum_budget,

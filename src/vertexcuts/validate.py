@@ -57,6 +57,17 @@ def _subsets_upto(universe: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
         yield from combinations(uni, size)
 
 
+def _queries(n: int, f: int, exhaustive_cap: int, n_random: int,
+             seed: int) -> tuple[list[frozenset[int]], str]:
+    """Every F with |F| <= f when there are at most exhaustive_cap of them,
+    else n_random seeded random ones; with "exhaustive" or "random"."""
+    if sum(comb(n, k) for k in range(f + 1)) <= exhaustive_cap:
+        return [frozenset(fs) for fs in _subsets_upto(range(n), f)], "exhaustive"
+    rng = random.Random(seed)
+    return [frozenset(rng.sample(range(n), rng.randint(0, f)))
+            for _ in range(n_random)], "random"
+
+
 def check_query_stats(stats: QueryStats, slack: int = 8) -> bool:
     return stats.branch_law_ok() and stats.visit_bound_ok(slack)
 
@@ -102,14 +113,7 @@ def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
             truth_cache[fs] = is_cut_bruteforce(g, fs)
         return truth_cache[fs]
 
-    n_queries = sum(comb(g.n, k) for k in range(f + 1))
-    exhaustive = n_queries <= exhaustive_cap
-    if exhaustive:
-        queries = [frozenset(fs) for fs in _subsets_upto(range(g.n), f)]
-    else:
-        rng = random.Random(seed)
-        queries = [frozenset(rng.sample(range(g.n), rng.randint(0, f)))
-                   for _ in range(n_random)]
+    queries, how = _queries(g.n, f, exhaustive_cap, n_random, seed)
     mism = 0
     stat_bad = 0
     path_bad = 0
@@ -126,7 +130,7 @@ def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
                 if st.nodes_visited > st.tree_depth + st.step_visits:
                     path_bad += 1
     rep.add(f"{mode.value}-equivalence", mism == 0,
-            f"{len(queries)} queries ({'exhaustive' if exhaustive else 'random'}), "
+            f"{len(queries)} queries ({how}), "
             f"{mism} mismatches")
     rep.add(f"{mode.value}-query-stats", stat_bad == 0,
             f"{stat_bad} stats violations")
@@ -261,15 +265,7 @@ def labels_equivalence_report(g: Graph, f: int,
                               n_random: int = 1_000, seed: int = 0) -> ValidationReport:
     rep = ValidationReport()
     scheme = build_labels(g, f)
-    n_queries = sum(comb(g.n, k) for k in range(f + 1))
-    if n_queries <= exhaustive_cap:
-        queries = [frozenset(fs) for fs in _subsets_upto(range(g.n), f)]
-        how = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        queries = [frozenset(rng.sample(range(g.n), rng.randint(0, f)))
-                   for _ in range(n_random)]
-        how = "random"
+    queries, how = _queries(g.n, f, exhaustive_cap, n_random, seed)
     mism = sum(1 for fs in queries
                if query_labels_scheme(scheme, fs) != is_cut_bruteforce(g, fs))
     rep.add("labels-equivalence", mism == 0, f"{len(queries)} {how} queries, {mism} mismatches")

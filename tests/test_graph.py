@@ -138,12 +138,14 @@ def test_expander_examples():
 
 
 def test_expander_matches_exhaustive():
-    for seed in range(8):
-        g = gen_connected_gnp(8, 0.35, seed)
+    # The star and the tree have separators with many components.
+    tree = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7)])
+    graphs = [gen_connected_gnp(8, 0.35, seed) for seed in range(8)]
+    for i, g in enumerate(graphs + [star_graph(7), tree]):
         for phi in (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1)):
             for t_set in ([0, 1, 2], list(range(8)), [2, 5]):
                 assert (is_terminal_expander(g, t_set, phi)
-                        == expander_exhaustive(g, t_set, phi)), (seed, phi, t_set)
+                        == expander_exhaustive(g, t_set, phi)), (i, phi, t_set)
 
 
 def test_expander_size_cap():

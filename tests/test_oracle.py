@@ -272,7 +272,7 @@ def test_default_hitmiss_round_is_the_family_alone():
     assert rnd.s_star == frozenset()
     k = rnd.family.k
     assert (info.depth, info.s_star_count, info.family_k) == (1, 0, k)
-    assert (info.sum_vertices, info.sum_edges) == (k * o.work.n, k * o.work.m)
+    assert (info.sum_vertices, info.sum_edges) == (o.work.n, o.work.m)
 
 
 def test_batch_matches_per_detector_path():
