@@ -4,6 +4,13 @@ A terminal cut detector answers "cut" or "fail" on a query F with the
 contract: "cut" answers are always genuine cuts of the detector's graph
 (soundness); when F separates the detector's T but not its S, the answer is
 "cut" (completeness).
+
+The U/S detector stores one table row per W ⊆ U (|U| <= 2f+2). ``build_us``
+sweeps its graph once: it labels the components of G-(S∪U) and their
+boundaries in S∪U, then derives each row by merging the components that
+U-(S∪W) joins, so a row costs the degrees of S∪U rather than a pass over
+the graph. ``us_trichotomy`` and the tests' per-W recomputation stay on the
+plain BFS of ``graph.component_labels``.
 """
 
 from __future__ import annotations
@@ -200,7 +207,8 @@ class USDetector:
     For every W ⊆ U it stores the sorted array of encoded neighbor-sets N(C)
     with |N(C)| <= f over components C of G-(S∪W), plus a connectivity bit
     for G-(S∪W). Encoding: tuple of vertex ids ascending (duplicates across
-    components deduplicated; membership semantics unaffected).
+    components deduplicated; membership semantics unaffected). ``build_us``
+    fills all 2^|U| rows from one sweep of G-(S∪U).
     """
 
     __slots__ = ("graph", "u_set", "s_set", "f", "f_connected", "tables")
@@ -219,6 +227,17 @@ class USDetector:
 
 def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
              f_connected: bool = False, max_u: int | None = None) -> USDetector:
+    """US detector over g with its 2^|U| tables, |U| <= max_u (2f+2).
+
+    One DFS labels the components c of G0 = G-(S∪U) and collects each
+    boundary B(c) ⊆ S∪U. The row of W puts L = U-(S∪W) back: the
+    components of G-(S∪W) that change are the groups that L joins, through
+    its edges to G0 and to itself, and a group's N(C) is the union of its
+    B(c) and its L vertices' neighbors in S∪U, less L. Every component
+    that L does not touch keeps N(C) = B(c). So a call costs O(n + m) once
+    and then O(deg(S∪U) + #distinct B(c)) per row, not a pass over the
+    graph per row.
+    """
     us = frozenset(u_set)
     ss = frozenset(s_set)
     g.check_vertices(us)
@@ -226,24 +245,79 @@ def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
     cap = max_u if max_u is not None else 2 * f + 2
     if len(us) > cap:
         raise BudgetExceeded(f"|U|={len(us)} exceeds the 2^|U| table budget (cap {cap})")
+    removed = ss | us
+    bound = _boundaries(g, removed)
+    keys = [tuple(sorted(b)) if len(b) <= f else None for b in bound]
+    base = set(keys) - {None}
+    # The components each returning vertex touches, and its neighbors in S∪U.
+    touches: dict[int, list[int]] = {u: [] for u in us - ss}
+    for c, b in enumerate(bound):
+        for u in b:
+            if u in touches:
+                touches[u].append(c)
+    near = {u: removed.intersection(g.adj[u]) for u in touches}
     u_sorted = sorted(us)
     tables: dict[frozenset[int], tuple[list[tuple[int, ...]], bool]] = {}
     for r in range(len(u_sorted) + 1):
         for w in combinations(u_sorted, r):
             ws = frozenset(w)
-            removed = ss | ws
-            labels = component_labels(g, removed)
-            ncomp = max(labels, default=-1) + 1
-            seen: set[tuple[int, ...]] = set()
-            for comp in components(g, removed):
-                nbhd = set()
-                for v in comp:
-                    nbhd.update(g.adj[v])
-                nbhd -= set(comp)
+            live = us - ss - ws
+            # Each component L touches, with the L vertices touching it.
+            joined: dict[int, list[int]] = {}
+            for u in live:
+                for c in touches[u]:
+                    joined.setdefault(c, []).append(u)
+            # A touched B(c) holds a vertex of L, so every component with
+            # that boundary is touched too: its key leaves the row.
+            seen = base - {keys[c] for c in joined}
+            ncomp = len(bound) - len(joined)
+            placed: set[int] = set()
+            for start in live:
+                if start in placed:
+                    continue
+                ncomp += 1
+                placed.add(start)
+                stack = [start]
+                nbhd: set[int] = set()
+                while stack:
+                    u = stack.pop()
+                    nbhd |= near[u]
+                    reached = [x for x in near[u] if x in live]
+                    for c in touches[u]:
+                        if c in joined:
+                            nbhd |= bound[c]
+                            reached += joined.pop(c)
+                    for x in reached:
+                        if x not in placed:
+                            placed.add(x)
+                            stack.append(x)
+                nbhd -= live
                 if len(nbhd) <= f:
                     seen.add(tuple(sorted(nbhd)))
             tables[ws] = (sorted(seen), ncomp <= 1)
     return USDetector(g, us, ss, f, f_connected, tables)
+
+
+def _boundaries(g: Graph, removed: frozenset[int]) -> list[set[int]]:
+    """B(c) for the components c of g - removed, in order of discovery."""
+    visited = [False] * g.n
+    bound: list[set[int]] = []
+    for s in range(g.n):
+        if visited[s] or s in removed:
+            continue
+        here: set[int] = set()
+        bound.append(here)
+        visited[s] = True
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if w in removed:
+                    here.add(w)
+                elif not visited[w]:
+                    visited[w] = True
+                    stack.append(w)
+    return bound
 
 
 def _sorted_contains(arr: list[tuple[int, ...]], key: tuple[int, ...]) -> bool:

@@ -1,5 +1,6 @@
-"""Seeded graph generators: random models, certified f-connected graphs, the
-space-lower-bound families, and the OV / OuMv reduction graphs.
+"""Seeded graph generators: random models, certified f-connected graphs,
+chains of blocks with planted separators, the space-lower-bound families,
+and the OV / OuMv reduction graphs.
 
 Every generator is a deterministic function of its parameters and seed.
 """
@@ -64,6 +65,45 @@ def gen_f_connected(n: int, f: int, seed: int, extra_p: float = 0.1,
     if n <= verify_cap and not is_f_connected(g, f):
         raise CertificationFailed(f"generated graph is not {f}-connected")
     return g
+
+
+def gen_block_chain(blocks: int, block_size: int, mean_degree: float,
+                    sep_size: int, attach: int, seed: int
+                    ) -> tuple[Graph, tuple[frozenset[int], ...]]:
+    """Connected G(n, p) blocks B_0..B_{k-1} (p = mean_degree/(block_size-1),
+    each block redrawn until connected) in a chain. Between B_i and B_{i+1}
+    sits a planted separator S_i of sep_size vertices, each joined to attach
+    random vertices of both blocks. Every edge between blocks goes through a
+    separator, so each S_i is a vertex cut; returns the graph and the S_i.
+
+    Layout: block i = ids i*block_size .. (i+1)*block_size-1, then the
+    separators in order.
+    """
+    if blocks < 1 or block_size < 1 or sep_size < 1 or not 1 <= attach <= block_size:
+        raise InvalidParams(f"bad block chain parameters blocks={blocks} "
+                            f"block_size={block_size} sep_size={sep_size} attach={attach}")
+    rng = random.Random(seed)
+    p = min(1.0, mean_degree / max(1, block_size - 1))
+    edges: list[tuple[int, int]] = []
+    for b in range(blocks):
+        lo = b * block_size
+        while True:
+            inner = [(i, j) for i in range(block_size) for j in range(i + 1, block_size)
+                     if rng.random() < p]
+            if Graph(block_size, inner).is_connected():
+                break
+        edges += [(lo + i, lo + j) for i, j in inner]
+    seps = []
+    nxt = blocks * block_size
+    for b in range(blocks - 1):
+        sep = range(nxt, nxt + sep_size)
+        nxt += sep_size
+        for s in sep:
+            for side in (b, b + 1):
+                lo = side * block_size
+                edges += [(u, s) for u in rng.sample(range(lo, lo + block_size), attach)]
+        seps.append(frozenset(sep))
+    return Graph(nxt, edges), tuple(seps)
 
 
 def gen_lb_family(n: int, f: int, seed: int) -> tuple[Graph, tuple[frozenset[int], ...]]:

@@ -420,13 +420,25 @@ def is_f_connected(g: Graph, f: int) -> bool:
 def min_vertex_cut_size(g: Graph) -> int | None:
     """Size of a minimum vertex cut, or None if the graph has no cut (complete).
 
-    Requires a connected input.
+    One pass: best starts at the minimum degree (the neighbors of a vertex
+    of least degree are a cut) and each flow asks only for a separator of
+    at most best - 1 vertices. Pivots 0, 1, ... run while the pivot index is
+    at most best, so best + 1 of them do: one lies outside a minimum cut
+    and reaches across it to a non-neighbor. Requires a connected input.
     """
     if not g.is_connected():
         raise DisconnectedInput("min_vertex_cut_size requires a connected graph")
     if g.m == g.n * (g.n - 1) // 2:
         return None
-    k = 1
-    while is_f_connected(g, k):
-        k += 1
-    return k - 1
+    best = min(len(a) for a in g.adj)
+    s = 0
+    while s <= best:
+        nbhd = set(g.adj[s])
+        for t in range(g.n):
+            if t == s or t in nbhd:
+                continue
+            sep = min_st_separator(g, s, t, best - 1)
+            if sep is not None:
+                best = len(sep)
+        s += 1
+    return best

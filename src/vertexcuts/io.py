@@ -260,6 +260,11 @@ def oracle_from_payload(payload: dict, manifest: dict) -> VertexCutOracle:
     mode = OracleMode(payload["mode"])
     graph = _graph_from(payload["graph"])
     work = _graph_from(payload["work"])
+    for key, value in (("n", graph.n), ("m", graph.m), ("f", f),
+                       ("mode", mode.value), ("work_edges", work.m)):
+        if manifest[key] != value:
+            raise InvalidParams(f"manifest {key}={manifest[key]!r} disagrees "
+                                f"with the payload's {value!r}")
     leaf_graphs: dict = {}  # shared by every leaf of this load
     rounds = []
     for rp in payload["rounds"]:

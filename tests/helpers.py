@@ -4,10 +4,13 @@ suite."""
 from __future__ import annotations
 
 import hashlib
+import random
 import struct
 from itertools import combinations
 
-from vertexcuts.graph import Graph, component_labels
+from hypothesis import strategies as st
+
+from vertexcuts.graph import Graph, component_labels, components
 
 
 def path_graph(n: int) -> Graph:
@@ -76,6 +79,25 @@ def two_blob_graph(blob_n: int, bridge: int, p: float, seed: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+@st.composite
+def graphs(draw, min_n=3, max_n=11):
+    """Paths, cycles (n >= 3), stars, complete graphs and random G(n, p),
+    the last possibly disconnected."""
+    kind = draw(st.sampled_from(["path", "cycle", "star", "complete", "gnp"]))
+    n = draw(st.integers(min_n, max_n))
+    if kind == "path" or (kind == "cycle" and n < 3):
+        return path_graph(n)
+    if kind == "cycle":
+        return cycle_graph(n)
+    if kind == "star":
+        return star_graph(n - 1)
+    if kind == "complete":
+        return complete_graph(n)
+    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
 def subsets_upto(n: int, k: int):
     for size in range(k + 1):
         yield from combinations(range(n), size)
@@ -111,6 +133,30 @@ def cut_via_components(g: Graph, f_set) -> bool:
     """Cut verdict via component counting; tolerates disconnected inputs."""
     labels = component_labels(g, f_set)
     return max(labels, default=-1) + 1 >= 2
+
+
+def us_tables_reference(g: Graph, u_set, s_set, f: int) -> dict:
+    """Reference US tables: for every W ⊆ U, two plain BFS passes over
+    G - (S ∪ W) give its components and their count; each component's N(C)
+    with |N(C)| <= f is kept as a sorted tuple, and the row is (sorted
+    distinct tuples, at most one component)."""
+    ss = frozenset(s_set)
+    u_sorted = sorted(set(u_set))
+    tables = {}
+    for r in range(len(u_sorted) + 1):
+        for w in combinations(u_sorted, r):
+            removed = ss | frozenset(w)
+            ncomp = max(component_labels(g, removed), default=-1) + 1
+            seen = set()
+            for comp in components(g, removed):
+                nbhd = set()
+                for v in comp:
+                    nbhd.update(g.adj[v])
+                nbhd -= set(comp)
+                if len(nbhd) <= f:
+                    seen.add(tuple(sorted(nbhd)))
+            tables[frozenset(w)] = (sorted(seen), ncomp <= 1)
+    return tables
 
 
 def family_property_reference(subsets, t_list, f) -> bool:

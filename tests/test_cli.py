@@ -125,14 +125,19 @@ def test_validate_corrupted_oracle(graph_file, tmp_path, capsys):
 
 
 def test_validate_queries_the_loaded_oracle(graph_file, tmp_path, capsys):
-    # The same container with a path graph in place of the input graph: the
-    # loaded oracle still answers for the input graph, so it disagrees with
-    # brute force on the stored one.
+    # The same container with another graph of the same n and m in place of
+    # the input graph (a dense head on a path, whose tail vertices are cuts):
+    # the loaded oracle still answers for the input graph, so it disagrees
+    # with brute force on the stored one.
     oracle_path = tmp_path / "g.vco"
     main(["build", "--input", str(graph_file), "--f", "2", "--out", str(oracle_path)])
     manifest, payload = container_parts(oracle_path.read_bytes())
     swapped = json.loads(payload)
-    swapped["graph"] = {"n": 14, "edges": [[i, i + 1] for i in range(13)],
+    chords = sorted(([i, j] for i in range(14) for j in range(i + 2, 14)),
+                    key=lambda e: (e[1], e[0]))
+    m = json.loads(manifest)["m"]
+    swapped["graph"] = {"n": 14,
+                        "edges": [[i, i + 1] for i in range(13)] + chords[:m - 13],
                         "root_ids": list(range(14))}
     bad_path = tmp_path / "swapped.vco"
     bad_path.write_bytes(container(manifest, canonical_json_bytes(swapped)))

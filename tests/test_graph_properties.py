@@ -1,38 +1,16 @@
 """Property tests: the split-graph flow kernel and the checks built on it
 against networkx, and the component-grouping DP against brute force."""
 
-import random
-from itertools import combinations
-
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_graph, cycle_graph, path_graph, star_graph
+from helpers import graphs
 from vertexcuts.graph import (Graph, _reconstruct, _subset_sum_states,
                               component_labels, is_f_connected,
                               min_st_separator, min_vertex_cut_size)
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
-
-
-@st.composite
-def graphs(draw, max_n=11):
-    """Paths, cycles, stars, complete graphs and random G(n, p), the last
-    possibly disconnected."""
-    kind = draw(st.sampled_from(["path", "cycle", "star", "complete", "gnp"]))
-    n = draw(st.integers(3, max_n))
-    if kind == "path":
-        return path_graph(n)
-    if kind == "cycle":
-        return cycle_graph(n)
-    if kind == "star":
-        return star_graph(n - 1)
-    if kind == "complete":
-        return complete_graph(n)
-    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.8]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -90,3 +68,21 @@ def test_grouping_dp_matches_brute_force(counts):
         assert len(set(taken)) == len(taken)
         assert 0 < len(taken) < len(counts)
         assert sum(counts[i] for i in taken) == state[0]
+
+
+def hypercube(d: int) -> Graph:
+    return Graph(2 ** d, [(v, v ^ 1 << i) for v in range(2 ** d) for i in range(d)
+                          if v < v ^ 1 << i])
+
+
+def test_min_vertex_cut_size_runs_one_pass(monkeypatch):
+    import vertexcuts.graph as vg
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return min_st_separator(*args)
+
+    monkeypatch.setattr(vg, "min_st_separator", counted)
+    assert vg.min_vertex_cut_size(hypercube(5)) == 5
+    assert len(calls) < 200

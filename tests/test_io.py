@@ -132,6 +132,30 @@ def test_family_outside_the_work_graph_is_rejected():
             oracle_from_bytes(container(manifest, canonical_json_bytes(bad)))
 
 
+MANIFEST_EDITS = {"n": 1, "m": 1, "f": 1, "work_edges": 1, "mode": "hitmiss"}
+
+
+@pytest.mark.parametrize("key", list(MANIFEST_EDITS))
+def test_manifest_that_disagrees_with_the_payload_is_rejected(key):
+    o = build_oracle(barbell_graph(5), 2)
+    _, payload = container_parts(oracle_to_bytes(o))
+    edit = MANIFEST_EDITS[key]
+    value = edit if isinstance(edit, str) else o.manifest[key] + edit
+    manifest = canonical_json_bytes(dict(o.manifest, **{key: value}))
+    with pytest.raises(InvalidParams, match=f"manifest {key}="):
+        oracle_from_bytes(container(manifest, payload))
+
+
+@pytest.mark.parametrize("old,new", [(b'{"f":2,', b'{"f":3,'),
+                                     (b'"mode":"general"', b'"mode":"hitmiss"')])
+def test_payload_that_disagrees_with_the_manifest_is_rejected(old, new):
+    data = oracle_to_bytes(build_oracle(barbell_graph(5), 2))
+    assert data.count(old) == 2  # once in the manifest, then in the payload
+    i = data.rindex(old)
+    with pytest.raises(InvalidParams, match="disagrees"):
+        oracle_from_bytes(rechecksummed(data[:i] + new + data[i + len(old):]))
+
+
 FUZZ = {mode: oracle_to_bytes(build_oracle(g, f, mode)) for g, f, mode in [
     (gen_connected_gnp(9, 0.4, 3), 2, OracleMode.GENERAL),
     (cycle_graph(6), 2, OracleMode.FCONNECTED),
