@@ -190,33 +190,6 @@ def separates_terminals(g: Graph, f_set: Iterable[int], t_set: Iterable[int]) ->
     return False
 
 
-class DisjointSet:
-    """Union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        return True
-
-
 def sparsify(g: Graph, f: int) -> Graph:
     """Nagamochi-Ibaraki scan-forest certificate, keeping the first f+1
     forests. The result H has <= (f+1)*n edges and, for every F with |F| <= f

@@ -3,7 +3,7 @@ TED export directories, and JSON reports.
 
 Container layout (byte-exact):
   bytes 0..3   magic b"VCUT"
-  bytes 4..5   format version, u16 little-endian (currently 2)
+  bytes 4..5   format version, u16 little-endian (currently 3)
   bytes 6..13  manifest byte length, u64 little-endian
   ...          manifest: canonical JSON (UTF-8, sorted keys, separators ",",":")
   8 bytes      payload byte length, u64 little-endian
@@ -29,10 +29,10 @@ from .errors import InvalidParams
 from .graph import Graph
 from .labels import LabelingScheme
 from .oracle import (DetectorNode, HitMissFamily, HitMissRound, OracleMode,
-                     RoundInfo, TerminalCutDetector, VertexCutOracle, _FewTBatch)
+                     RoundInfo, TerminalCutDetector, VertexCutOracle)
 
 MAGIC = b"VCUT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -275,10 +275,11 @@ def oracle_from_payload(payload: dict, manifest: dict) -> VertexCutOracle:
             work.check_vertices(fam.t_set)
             if not all(s <= fam.t_set for s in fam.subsets):
                 raise InvalidParams("hit-miss family subset outside its terminal set")
-            # A trivial round is stored as its family alone.
             dets = [_detector_from(dp, f, leaf_graphs) for dp in rp["detectors"]]
-            batch = None if dets else _FewTBatch(work, f, fam.subsets)
-            rounds.append(HitMissRound(fam, dets, frozenset(rp["s_star"]), batch))
+            if len(dets) != fam.k:
+                raise InvalidParams(f"hit-miss round has {len(dets)} detectors "
+                                    f"for {fam.k} subsets")
+            rounds.append(HitMissRound(fam, dets, frozenset(rp["s_star"])))
         else:
             rounds.append(_detector_from(rp, f, leaf_graphs))
     return VertexCutOracle(graph, work, f, mode, rounds,

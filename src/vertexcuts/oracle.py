@@ -6,8 +6,9 @@ O(2^|F|) branch points. The oracle iterates terminal reduction (T starts at
 V and shrinks to the union of separators) and stores one detector per round.
 Three modes: general, f-connected (single-path queries, |F| = f only), and
 hit-miss (a verified family of terminal subsets lets every US detector use an
-empty U-set; at default parameters a round is the family alone, decided in
-one bit-packed batch).
+empty U-set). A hit-miss round in which every subset would be one few-terminals
+leaf over the work graph, as at default parameters, is that one leaf over T
+and draws no family.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ class OracleMode(enum.Enum):
 
 @dataclass
 class QueryStats:
-    """Per-detector-query accounting for the tree search.
-
-    A stats object normally covers one detector query; the vectorized
-    hit-miss path covers a whole batch of single-leaf detectors at once and
-    sets batched_detectors accordingly, so the visit bound stays per
-    detector."""
+    """Per-detector-query accounting for the tree search."""
 
     query_size: int = 0
     tree_depth: int = 0
@@ -55,7 +51,6 @@ class QueryStats:
     trim_nodes: int = 0
     step_visits: int = 0
     detector_queries: int = 0
-    batched_detectors: int = 1
 
     def branch_law_ok(self) -> bool:
         """Branch nodes with residual size x number at most 2^(|F|-x)."""
@@ -64,7 +59,7 @@ class QueryStats:
 
     def visit_bound_ok(self, slack: int = 8) -> bool:
         bound = slack * max(1, self.tree_depth) * 2 ** self.query_size
-        return self.nodes_visited <= bound * max(1, self.batched_detectors)
+        return self.nodes_visited <= bound
 
 
 @dataclass
@@ -357,16 +352,13 @@ FAMILY_CHECK_CAP = 10 ** 8
 _CHECK_CHUNK_BYTES = 1 << 22
 
 
-def _membership_words(subsets: Iterable[frozenset[int]], rows: int,
-                      index: np.ndarray | None = None) -> np.ndarray:
+def _membership_words(subsets: list[frozenset[int]], index: np.ndarray) -> np.ndarray:
     """Bit-packed membership: bit i % 64 of word i // 64 in row r is set iff
-    subset i holds vertex r, or the r-th entry of the sorted array ``index``."""
-    subsets = list(subsets)
+    subset i holds the r-th entry of the sorted array ``index``."""
     sizes = [len(s) for s in subsets]
-    ids = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=sum(sizes))
-    if index is not None:
-        ids = np.searchsorted(index, ids)
-    member = np.zeros((rows, 64 * -(-len(subsets) // 64)), dtype=bool)
+    ids = np.searchsorted(index, np.fromiter(chain.from_iterable(subsets),
+                                             dtype=np.intp, count=sum(sizes)))
+    member = np.zeros((len(index), 64 * -(-len(subsets) // 64)), dtype=bool)
     member[ids, np.repeat(np.arange(len(subsets)), sizes)] = True
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
@@ -382,7 +374,7 @@ def _family_property_holds(subsets: list[frozenset[int]], t_list: list[int],
     is screened on its first word and, where that misses, rechecked word by
     word."""
     t = len(t_list)
-    words = _membership_words(subsets, t, np.asarray(t_list))
+    words = _membership_words(subsets, np.asarray(t_list))
     pu, pv = np.triu_indices(t)
     pairs = words[pu] & words[pv]
     if not pairs.any(axis=1).all():  # F = {}
@@ -438,6 +430,11 @@ def _family_property_sampled(subsets: list[frozenset[int]], t_list: list[int],
     return True
 
 
+def _family_size(f: int, n: int, constant: float) -> int:
+    """k0, the size of a hit-miss family's first draw; retries only grow it."""
+    return max(1, math.ceil(constant * (f * math.log2(max(2, n))) ** 3))
+
+
 def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
                           constant: float = 1.0, sample_checks: int = 10_000,
                           max_rounds: int = 8) -> HitMissFamily:
@@ -450,7 +447,7 @@ def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
     import random as _random
     ts = sorted(set(t_set))
     t = len(ts)
-    k = max(1, math.ceil(constant * (f * math.log2(max(2, n))) ** 3))
+    k = _family_size(f, n, constant)
     if t <= 1:
         # {T} hits the only terminal whenever F misses it; vacuously verified.
         return HitMissFamily((frozenset(ts),), frozenset(ts), f, "exhaustive")
@@ -467,42 +464,6 @@ def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
                                  "exhaustive" if exhaustive else "sampled")
         k = math.ceil(1.3 * k) + 8
     raise VerificationFailed(f"no verified hit-miss family after {max_rounds} rounds")
-
-
-class _FewTBatch:
-    """A trivial hit-miss round: every subset is decided as a FewT leaf over
-    the whole graph would decide it, all at once from bit-packed membership."""
-
-    def __init__(self, graph: Graph, f: int, subsets: tuple[frozenset[int], ...]):
-        self.graph = graph
-        self.conn = build_conn_oracle(graph, f)
-        self.subsets = subsets
-        self.words = _membership_words(subsets, graph.n)   # vertex x subset
-
-    def query(self, fs: frozenset[int]) -> tuple[DetectorAnswer, QueryStats]:
-        hit = np.bitwise_or.reduce(self.words[list(fs)], axis=0)
-        missed = len(self.subsets) - int(np.bitwise_count(hit).sum())
-        stats = QueryStats(query_size=len(fs), tree_depth=1,
-                           nodes_visited=missed, max_depth=1,
-                           detector_queries=missed,
-                           batched_detectors=max(1, missed))
-        if not missed:
-            return DetectorAnswer.FAIL, stats
-        # A subset that misses F is cut iff its terminals meet two components.
-        # OR the rows of each component (F, labelled -1, sorts first and is
-        # dropped); a bit seen in a component and in an earlier one is cut.
-        lab = self.conn.update(fs)
-        order = np.argsort(lab)[len(fs):]
-        sl = lab[order]
-        if not sl.size or sl[0] == sl[-1]:  # at most one component
-            return DetectorAnswer.FAIL, stats
-        starts = np.flatnonzero(np.concatenate(([True], sl[1:] != sl[:-1])))
-        comp = np.bitwise_or.reduceat(self.words[order], starts, axis=0)
-        seen = np.bitwise_or.accumulate(comp[:-1], axis=0)
-        twice = np.bitwise_or.reduce(comp[1:] & seen, axis=0)
-        # ~hit also sets the padding bits past k, which no component has
-        cut = (twice & ~hit).any()
-        return (DetectorAnswer.CUT if cut else DetectorAnswer.FAIL), stats
 
 
 @dataclass
@@ -535,7 +496,8 @@ class RoundInfo:
 
 class VertexCutOracle:
     """Stores the per-round cut detectors; a query F is a cut iff some round's
-    detector answers "cut" (hit-miss: only detectors whose subset misses F)."""
+    detector answers "cut" (in a hit-miss round with a family, only the
+    detectors whose subset misses F are asked)."""
 
     def __init__(self, graph: Graph, work: Graph, f: int, mode: OracleMode,
                  rounds, round_info: list[RoundInfo], manifest: dict):
@@ -559,13 +521,11 @@ class VertexCutOracle:
         if self.mode is OracleMode.FCONNECTED and len(fs) < self.f:
             return False, all_stats  # smaller sets cannot cut an f-connected graph
         for rnd in self.rounds:
-            if self.mode is not OracleMode.HITMISS:
-                dets = (rnd,)
-            elif rnd.batch is not None:
-                dets = (rnd.batch,)
-            else:  # never query a detector whose subset meets F
+            if isinstance(rnd, HitMissRound):  # never ask a subset that meets F
                 dets = (d for sub, d in zip(rnd.family.subsets, rnd.detectors)
                         if not sub & fs)
+            else:
+                dets = (rnd,)
             for det in dets:
                 ans, stats = det.query(fs)
                 all_stats.append(stats)
@@ -576,14 +536,12 @@ class VertexCutOracle:
 
 @dataclass
 class HitMissRound:
-    """One hit-miss round: a detector per subset, or, for a trivial round
-    (every subset a single FewT leaf over the work graph), no detectors and
-    a batch over the family."""
+    """A non-trivial hit-miss round: the family and one detector per subset.
+    A trivial round is a plain single-leaf TerminalCutDetector instead."""
 
     family: HitMissFamily
     detectors: list[TerminalCutDetector]
     s_star: frozenset[int]
-    batch: Optional[_FewTBatch] = None
 
 
 def _round_guard(i: int, n: int) -> None:
@@ -667,24 +625,33 @@ def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
                          params: TreeParams, family_constant: float,
                          seed: int, debug: bool,
                          pool: dict[Graph, FailureConnectivityOracle]
-                         ) -> tuple[HitMissRound, RoundInfo]:
-    family = build_hit_miss_family(terms, f, work.n, seed=seed,
-                                   constant=family_constant)
-    k = family.k
-    if params.eps_override is not None:
-        eps = Fraction(params.eps_override)
-    else:
-        denom = params.c * k * max(1.0, math.log2(max(2, len(terms))))
-        eps = Fraction(1) / Fraction(denom)
+                         ) -> tuple[HitMissRound | TerminalCutDetector, RoundInfo]:
+    """One hit-miss round over the terminals ``terms``.
+
+    The round is trivial when every subset would get a single FewT leaf over
+    the work graph, i.e. has at most (f+1)/eps terminals, with eps =
+    1/(c*k0*log2|T|) unless overridden and k0 the family's first-draw size.
+    Subsets lie inside T, so |T| <= (f+1)/eps decides it before any family
+    is drawn (retries only grow k). With an exhaustively verified family, a
+    trivial round answers "cut" iff T - F meets two components of work - F,
+    which is what one FewT leaf over T answers; a sampled family could only
+    miss cuts the leaf finds."""
+    eps = params.eps_for(len(terms))
+    if params.eps_override is None:
+        eps /= _family_size(f, work.n, family_constant)
     threshold = Fraction(f + 1) / eps
-    if all(len(sub) <= threshold for sub in family.subsets):
-        # Every per-subset LR tree would be one FewT leaf over the work graph
-        # with S* empty (always so unless eps is overridden or c is small):
-        # the round is the family itself, decided in one batch over the one
-        # work graph, whose sizes it records.
-        rnd = HitMissRound(family, [], frozenset(), _FewTBatch(work, f, family.subsets))
-        return rnd, RoundInfo(len(terms), 0, 1, work.n, work.m,
-                              family_k=k, family_verified=family.verified)
+    family = None
+    if len(terms) > threshold:
+        family = build_hit_miss_family(terms, f, work.n, seed=seed,
+                                       constant=family_constant)
+    if family is None or all(len(sub) <= threshold for sub in family.subsets):
+        leaf = DetectorNode(NodeKind.LEAF_FEWT, work.root_vertex_set(), terms,
+                            leaf=build_fewt(work, terms, f,
+                                            conn=_conn_for(work, f, pool)),
+                            debug_graph=work if debug else None)
+        det = TerminalCutDetector(leaf, frozenset(), f, terms, 1, False, eps,
+                                  work.n, work.m)
+        return det, RoundInfo(len(terms), 0, 1, work.n, work.m)
     hm_params = TreeParams(c=params.c, eps_override=eps, singleton_mode=True,
                            enum_budget=params.enum_budget,
                            improve_budget=params.improve_budget,
@@ -698,4 +665,4 @@ def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
     return rnd, RoundInfo(len(terms), len(s_star), max(d.depth for d in detectors),
                           sum(d.sum_vertices for d in detectors),
                           sum(d.sum_edges for d in detectors),
-                          family_k=k, family_verified=family.verified)
+                          family_k=family.k, family_verified=family.verified)

@@ -78,7 +78,7 @@ def test_leaves_over_one_graph_share_one_oracle():
     # work graph; eps is overridden so that other subsets split
     o = build_oracle(two_blob_graph(8, 2, 0.5, 9), 1, OracleMode.HITMISS,
                      TreeParams(eps_override=Fraction(1, 3)))
-    assert o.rounds[0].batch is None
+    assert isinstance(o.rounds[0], HitMissRound)
     for oracle in (o, oracle_from_bytes(oracle_to_bytes(o))):
         dets = [d for d in leaves(oracle) if d.graph.n == oracle.work.n]
         assert len(dets) > 1 and len({id(d.conn) for d in dets}) == 1
@@ -120,15 +120,31 @@ def test_malformed_checksummed_containers_raise_invalid_params():
             oracle_from_bytes(data)
 
 
+# eps = 1/2 puts |T| = 6 above the threshold 4, so the round keeps its family
+HITMISS_FAMILY = (path_graph(6), 1, OracleMode.HITMISS,
+                  TreeParams(eps_override=Fraction(1, 2)))
+
+
 def test_family_outside_the_work_graph_is_rejected():
-    o = build_oracle(path_graph(5), 1, OracleMode.HITMISS)
+    o = build_oracle(*HITMISS_FAMILY)
     manifest = canonical_json_bytes(o.manifest)
     payload = oracle_payload(o)
     family = payload["rounds"][0]["family"]
     for edit in ({"subsets": [[-1, 0]] + family["subsets"][1:]},
-                 {"t_set": family["t_set"] + [5], "subsets": [[5]] + family["subsets"]}):
+                 {"t_set": family["t_set"] + [6], "subsets": [[6]] + family["subsets"]}):
         bad = dict(payload, rounds=[dict(payload["rounds"][0], family=dict(family, **edit))])
         with pytest.raises(VertexCutsError):
+            oracle_from_bytes(container(manifest, canonical_json_bytes(bad)))
+
+
+def test_hitmiss_round_without_a_detector_per_subset_is_rejected():
+    o = build_oracle(*HITMISS_FAMILY)
+    manifest = canonical_json_bytes(o.manifest)
+    payload = oracle_payload(o)
+    rnd = payload["rounds"][0]
+    for dets in ([], rnd["detectors"][1:]):
+        bad = dict(payload, rounds=[dict(rnd, detectors=dets)])
+        with pytest.raises(InvalidParams, match="detectors for"):
             oracle_from_bytes(container(manifest, canonical_json_bytes(bad)))
 
 
@@ -156,11 +172,15 @@ def test_payload_that_disagrees_with_the_manifest_is_rejected(old, new):
         oracle_from_bytes(rechecksummed(data[:i] + new + data[i + len(old):]))
 
 
-FUZZ = {mode: oracle_to_bytes(build_oracle(g, f, mode)) for g, f, mode in [
-    (gen_connected_gnp(9, 0.4, 3), 2, OracleMode.GENERAL),
-    (cycle_graph(6), 2, OracleMode.FCONNECTED),
-    (path_graph(5), 1, OracleMode.HITMISS),
-]}
+# OracleMode.HITMISS is a trivial hit-miss round, "hitmiss-family" one with
+# a family and a detector per subset.
+FUZZ = {key: oracle_to_bytes(build_oracle(g, f, mode, params))
+        for key, (g, f, mode, params) in {
+            OracleMode.GENERAL: (gen_connected_gnp(9, 0.4, 3), 2, OracleMode.GENERAL, None),
+            OracleMode.FCONNECTED: (cycle_graph(6), 2, OracleMode.FCONNECTED, None),
+            OracleMode.HITMISS: (path_graph(5), 1, OracleMode.HITMISS, None),
+            "hitmiss-family": HITMISS_FAMILY,
+        }.items()}
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
@@ -207,3 +227,11 @@ def test_version_1_container_is_rejected():
     manifest, payload = container_parts(FUZZ[OracleMode.HITMISS])
     with pytest.raises(InvalidParams, match="unsupported container version 1"):
         oracle_from_bytes(container(manifest, payload, version=1))
+
+
+def test_version_2_container_is_rejected():
+    # version 2 stored a trivial hit-miss round as its family alone
+    for blob in (FUZZ[OracleMode.HITMISS], FUZZ["hitmiss-family"]):
+        manifest, payload = container_parts(blob)
+        with pytest.raises(InvalidParams, match="unsupported container version 2"):
+            oracle_from_bytes(container(manifest, payload, version=2))

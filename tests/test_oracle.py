@@ -10,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (barbell_graph, complete_graph, cycle_graph,
-                     family_property_reference, path_graph, star_graph,
+                     family_property_reference, path_graph,
                      subsets_upto, two_blob_graph)
-from vertexcuts.connectivity import build_conn_oracle
 from vertexcuts.decomposition import NodeKind, TreeParams
-from vertexcuts.detectors import DetectorAnswer, build_fewt
+from vertexcuts.detectors import DetectorAnswer
 from vertexcuts.errors import (DisconnectedInput, InvalidParams, NotFConnected,
                                TooManyFailures, VerificationFailed, WrongQuerySize)
-from vertexcuts.generators import gen_connected_gnp, gen_f_connected, gen_lb_family
+from vertexcuts.generators import (gen_block_chain, gen_connected_gnp, gen_f_connected,
+                                   gen_lb_family)
 from vertexcuts.graph import Graph, is_cut_bruteforce
-from vertexcuts.io import oracle_from_bytes, oracle_to_bytes
-from vertexcuts.oracle import (OracleMode, _family_property_holds, build_detector,
+from vertexcuts.io import oracle_from_bytes, oracle_payload, oracle_to_bytes
+from vertexcuts.oracle import (HitMissRound, OracleMode, TerminalCutDetector,
+                               _family_property_holds, build_detector,
                                build_hit_miss_family, build_oracle,
                                query_detector_fconnected)
 from vertexcuts.validate import check_query_stats
@@ -227,20 +228,28 @@ def test_hitmiss_oracle_exhaustive():
             assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
-def test_hitmiss_never_queries_hit_subsets():
+def test_hitmiss_never_queries_hit_subsets(monkeypatch):
+    # eps = 1/2 puts |T| = 14 above the threshold 6, so the round has a family
     g = gen_connected_gnp(14, 0.35, 71)
-    o = build_oracle(g, 2, OracleMode.HITMISS)
+    o = build_oracle(g, 2, OracleMode.HITMISS,
+                     params=TreeParams(eps_override=Fraction(1, 2)))
     rnd = o.rounds[0]
-    conn = build_conn_oracle(o.work, 2)
-    rng = random.Random(4)
-    for _ in range(50):
-        fs = frozenset(rng.sample(range(14), 2))
-        # replay the documented query rule: one FewT leaf per subset missing F
-        missed = [s for s in rnd.family.subsets if not (s & fs)]
-        got = o.query(fs)
-        manual = any(build_fewt(o.work, sub, 2, conn).query(fs) is DetectorAnswer.CUT
-                     for sub in missed)
-        assert got == manual == is_cut_bruteforce(g, fs)
+    assert isinstance(rnd, HitMissRound)
+    asked = []
+    real_query = TerminalCutDetector.query
+    monkeypatch.setattr(TerminalCutDetector, "query",
+                        lambda det, fs: asked.append(det) or real_query(det, fs))
+    for fs in subsets_upto(14, 2):
+        asked.clear()
+        fset = frozenset(fs)
+        got = o.query(fset)
+        assert got == is_cut_bruteforce(g, fs), fs
+        missed = [d for sub, d in zip(rnd.family.subsets, rnd.detectors)
+                  if not sub & fset]
+        first = [d for d in asked if any(d is m for m in rnd.detectors)]
+        # round 0 asks the subsets that miss F in order, up to the first "cut"
+        assert all(a is m for a, m in zip(first, missed))
+        assert len(first) == len(missed) or got
 
 
 def test_hitmiss_deep_tree_with_singletons():
@@ -251,8 +260,11 @@ def test_hitmiss_deep_tree_with_singletons():
                      params=TreeParams(eps_override=Fraction(1, 3)))
     deep = False
     for rnd in o.rounds:
+        if not isinstance(rnd, HitMissRound):  # a trivial round: one leaf
+            assert rnd.root.is_leaf
+            continue
         assert rnd.family.verified == "exhaustive"
-        assert (rnd.batch is None) == (len(rnd.detectors) == rnd.family.k)
+        assert len(rnd.detectors) == rnd.family.k
         for det in rnd.detectors:
             if not det.root.is_leaf:
                 deep = True
@@ -263,57 +275,78 @@ def test_hitmiss_deep_tree_with_singletons():
         assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
-def test_default_hitmiss_round_is_the_family_alone():
-    g = gen_connected_gnp(16, 0.4, 33)
-    o = build_oracle(g, 2, OracleMode.HITMISS)
-    assert len(o.rounds) == 1
-    rnd, info = o.rounds[0], o.round_info[0]
-    assert rnd.detectors == [] and rnd.batch is not None
-    assert rnd.s_star == frozenset()
-    k = rnd.family.k
-    assert (info.depth, info.s_star_count, info.family_k) == (1, 0, k)
+def assert_one_leaf_over_the_work_graph(o):
+    assert len(o.rounds) == len(o.round_info) == 1
+    det, info = o.rounds[0], o.round_info[0]
+    assert isinstance(det, TerminalCutDetector) and det.root.is_leaf
+    assert det.root.kind is NodeKind.LEAF_FEWT and det.s_star == frozenset()
+    assert det.root.leaf.graph == o.work
+    assert det.terminals == det.root.terminals == frozenset(range(o.work.n))
+    assert (info.depth, info.s_star_count, info.family_k) == (1, 0, 0)
     assert (info.sum_vertices, info.sum_edges) == (o.work.n, o.work.m)
+    # stored as a detector record, with no family in the manifest
+    assert [r["type"] for r in oracle_payload(o)["rounds"]] == ["detector"]
+    assert "family_k" not in o.manifest["rounds"][0]
 
 
-def test_batch_matches_per_detector_path():
-    g = gen_connected_gnp(12, 0.35, 55)
-    o = build_oracle(g, 2, OracleMode.HITMISS)
+def spy_on_family(monkeypatch) -> tuple[list, list]:
+    """Record the families build_oracle draws and the exhaustive checks."""
+    import vertexcuts.oracle as vo
+    drawn, checked = [], []
+    draw, check = vo.build_hit_miss_family, vo._family_property_holds
+    monkeypatch.setattr(vo, "build_hit_miss_family",
+                        lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
+    monkeypatch.setattr(vo, "_family_property_holds",
+                        lambda *a: checked.append(a) or check(*a))
+    return drawn, checked
+
+
+@pytest.mark.parametrize("g,f", [
+    (gen_block_chain(3, 10, 5.0, 2, 3, 4)[0], 2),
+    (gen_connected_gnp(16, 0.4, 33), 2),
+])
+def test_default_hitmiss_round_is_one_leaf_and_draws_no_family(monkeypatch, g, f):
+    import vertexcuts.oracle as vo
+
+    def no_family(*_args, **_kwargs):
+        raise AssertionError("a trivial round drew a family")
+    monkeypatch.setattr(vo, "build_hit_miss_family", no_family)
+    o = build_oracle(g, f, OracleMode.HITMISS)
+    assert_one_leaf_over_the_work_graph(o)
+    loaded = oracle_from_bytes(oracle_to_bytes(o))
+    assert_one_leaf_over_the_work_graph(loaded)
+    for fs in subsets_upto(g.n, f):
+        assert o.query(fs) == loaded.query(fs) == is_cut_bruteforce(g, fs), fs
+
+
+def test_hitmiss_round_above_the_threshold_draws_checks_and_uses_the_family(
+        monkeypatch):
+    drawn, checked = spy_on_family(monkeypatch)
+    g = gen_connected_gnp(14, 0.35, 71)
+    o = build_oracle(g, 2, OracleMode.HITMISS,
+                     params=TreeParams(eps_override=Fraction(1, 2)))
     rnd = o.rounds[0]
-    assert rnd.batch is not None
-    conn = build_conn_oracle(o.work, 2)
-    leaves = [build_fewt(o.work, sub, 2, conn) for sub in rnd.family.subsets]
-    for fs in list(subsets_upto(12, 2))[:150]:
-        fset = frozenset(fs)
-        ans, _ = rnd.batch.query(fset)
-        manual = DetectorAnswer.FAIL
-        for sub, det in zip(rnd.family.subsets, leaves):
-            if sub & fset:
-                continue
-            if det.query(fset) is DetectorAnswer.CUT:
-                manual = DetectorAnswer.CUT
-                break
-        assert ans == manual
+    assert isinstance(rnd, HitMissRound) and rnd.family is drawn[0] and checked
+    assert rnd.family.verified == "exhaustive"
+    assert max(len(s) for s in rnd.family.subsets) > 6  # above (f+1)/eps
+    assert len(rnd.detectors) == rnd.family.k == o.round_info[0].family_k
+    loaded = oracle_from_bytes(oracle_to_bytes(o))
+    assert isinstance(loaded.rounds[0], HitMissRound)
+    for fs in subsets_upto(14, 2):
+        assert o.query(fs) == loaded.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
-def test_batch_only_counts_subsets_that_miss_f():
-    from vertexcuts.oracle import _FewTBatch
-    batch = _FewTBatch(path_graph(5), 1, (frozenset({0, 1, 4}), frozenset({3})))
-    # F = {1} splits 0 from 4, but the only subset holding both meets F
-    ans, stats = batch.query(frozenset({1}))
-    assert ans is DetectorAnswer.FAIL and stats.detector_queries == 1
-    assert batch.query(frozenset())[1].detector_queries == 2
-    assert batch.query(frozenset({2}))[0] is DetectorAnswer.CUT
-
-
-def test_batch_with_many_components_and_short_subsets():
-    from vertexcuts.oracle import _FewTBatch
-    # F = {0} leaves 8 components; an empty subset and a singleton are never cut
-    short = (frozenset(), frozenset({2}), frozenset({4, 4}))
-    g = star_graph(8)
-    assert _FewTBatch(g, 1, short).query(frozenset({0}))[0] is DetectorAnswer.FAIL
-    batch = _FewTBatch(g, 1, short + (frozenset({1, 5, 8}),))
-    assert batch.query(frozenset({0}))[0] is DetectorAnswer.CUT
-    assert batch.query(frozenset({3}))[0] is DetectorAnswer.FAIL
+def test_hitmiss_round_with_only_short_subsets_is_one_leaf(monkeypatch):
+    # eps = 1/5: |T| = 16 is above the threshold 15, no subset is
+    drawn, checked = spy_on_family(monkeypatch)
+    g = gen_connected_gnp(16, 0.4, 33)
+    o = build_oracle(g, 2, OracleMode.HITMISS,
+                     params=TreeParams(eps_override=Fraction(1, 5)))
+    assert len(drawn) == 1 and checked
+    assert max(len(s) for s in drawn[0].subsets) <= 15
+    assert_one_leaf_over_the_work_graph(o)
+    for fs in subsets_upto(16, 2):
+        assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
 def test_tiny_graphs():
