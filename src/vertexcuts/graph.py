@@ -10,6 +10,15 @@ max-flow ``min_st_separator`` (behind ``is_f_connected`` and
 the component-grouping DP ``_subset_sum_states`` (behind
 ``is_terminal_expander``).
 
+The max-flow runs over numpy arrays. A Graph builds its split graph once,
+on the first flow, and caches it (``_split_graph``): a flat ``head`` array
+whose arc i has reverse arc i ^ 1, the initial capacities, and the arcs in
+CSR order by tail. Each augmenting BFS is level-synchronous: one vectorized
+gather expands a whole frontier, and every node-disjoint path the BFS tree
+gives into the sink is augmented. The separator is read from the residual
+graph of a maximum flow, whose source side does not depend on the paths
+chosen, so it is the same separator a plain queue BFS finds.
+
 Vertex ids are dense 0..n-1. A subgraph carries ``root_ids`` mapping its
 local ids back to the ids of the graph it was cut from, so that
 "F restricted to this subgraph" is a plain set intersection in root space.
@@ -19,9 +28,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DisconnectedInput, InvalidParams, OutOfRange, SizeCapExceeded
 
@@ -34,7 +45,7 @@ class Graph:
     """
 
     __slots__ = ("n", "edges", "adj", "root_ids", "_edge_set", "_root_to_local",
-                 "_connected")
+                 "_connected", "_split")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  root_ids: Sequence[int] | None = None):
@@ -63,6 +74,7 @@ class Graph:
                 raise InvalidParams("root_ids length must equal n")
         self._root_to_local = None
         self._connected = None
+        self._split = None
 
     @property
     def m(self) -> int:
@@ -314,52 +326,103 @@ def is_terminal_expander(g: Graph, t_set: Iterable[int], phi,
     return True
 
 
+def _split_graph(g: Graph):
+    """The split graph of g as flat arrays, built once per Graph.
+
+    Vertex v becomes the arc v_in = 2v -> v_out = 2v+1 of capacity 1, each
+    edge uv the arcs u_out -> v_in and v_out -> u_in of capacity n. Arc i
+    runs from head[i ^ 1] to head[i], so its reverse is arc i ^ 1 (capacity
+    0). order lists the arcs by tail, and the arcs leaving node x are
+    order[start[x]:start[x + 1]]. Returns (head, cap, order, start).
+    """
+    if g._split is None:
+        n, m = g.n, g.m
+        uv = np.fromiter(chain.from_iterable(g.edges), dtype=np.int32, count=2 * m)
+        u, v = uv[0::2], uv[1::2]
+        head = np.empty(2 * n + 4 * m, dtype=np.int32)
+        head[0:2 * n:2] = 2 * np.arange(n, dtype=np.int32) + 1
+        head[1:2 * n:2] = 2 * np.arange(n, dtype=np.int32)
+        head[2 * n::4] = 2 * v
+        head[2 * n + 1::4] = 2 * u + 1
+        head[2 * n + 2::4] = 2 * u
+        head[2 * n + 3::4] = 2 * v + 1
+        cap = np.zeros(len(head), dtype=np.int32)
+        cap[0:2 * n:2] = 1
+        cap[2 * n::2] = n
+        tail = head.reshape(-1, 2)[:, ::-1].ravel()
+        order = np.argsort(tail, kind="stable").astype(np.int32)
+        start = np.zeros(2 * n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(tail, minlength=2 * n), out=start[1:])
+        g._split = (head, cap, order, start)
+    return g._split
+
+
 def min_st_separator(g: Graph, s: int, t: int, cap: int) -> list[int] | None:
     """Minimum s-t vertex separator (s, t distinct and non-adjacent) as a
     sorted list, or None when it has more than cap vertices.
 
-    Even-Tarjan unit-capacity max-flow on the split graph: vertex v becomes
-    the arc v_in = 2v -> v_out = 2v+1 of capacity 1, each edge uv the arcs
-    u_out -> v_in and v_out -> u_in of capacity n. Arcs live in flat lists,
-    and the reverse of arc i is arc i ^ 1. BFS looks for at most cap + 1
-    augmenting paths from s_out to t_in. The separator is read from the last
-    BFS, which found none: the vertices whose v_in it reaches and whose v_out
-    it does not. That source side is the same for every maximum flow.
+    Even-Tarjan unit-capacity max-flow on the split graph of ``_split_graph``,
+    whose arrays are built once per Graph; a call copies only the residual
+    capacities. Each BFS from s_out runs level by level until it reaches
+    t_in: one gather takes every arc leaving the frontier (through the CSR
+    order by tail), keeps those with residual capacity into unvisited nodes,
+    and records one reaching arc per new node. The recorded arcs form a tree,
+    so the paths it gives into t_in from different reached predecessors are
+    node-disjoint until they meet; each path that meets none taken before in
+    this round is still residual and is augmented. At most cap + 1 paths are
+    sought. The separator is read from the last BFS, which reached no t_in:
+    the vertices whose v_in it reaches and whose v_out it does not. That
+    source side is the same for every maximum flow, so the separator does
+    not depend on which augmenting paths were taken.
     """
-    n = g.n
-    head: list[int] = []  # arc i runs from head[i ^ 1] to head[i]
-    for v in range(n):
-        head += (2 * v + 1, 2 * v)
-    for u, v in g.edges:
-        head += (2 * v, 2 * u + 1, 2 * u, 2 * v + 1)
-    res = [1, 0] * n + [n, 0] * (2 * g.m)  # residual capacities
-    out: list[list[int]] = [[] for _ in range(2 * n)]
-    for i in range(len(head)):
-        out[head[i ^ 1]].append(i)
+    g.check_vertices((s, t))
+    if s == t or g.has_edge(s, t):
+        raise InvalidParams(f"min_st_separator needs distinct non-adjacent s, t; got {s}, {t}")
+    if cap < 0:
+        raise InvalidParams(f"cap must be nonnegative, got {cap}")
+    head, initial, order, start = _split_graph(g)
+    end = start[1:]
+    res = initial.copy()  # residual capacities
     source, sink = 2 * s + 1, 2 * t
+    into_sink = order[start[sink]:end[sink]] ^ 1
     flow = 0
     while True:
-        via = [-1] * (2 * n)  # arc that reached each node; -2 at the source
+        via = np.full(2 * g.n, -1, dtype=np.int32)  # arc that reached each node
         via[source] = -2
-        queue = deque([source])
-        while queue and via[sink] == -1:
-            a = queue.popleft()
-            for i in out[a]:
-                b = head[i]
-                if via[b] == -1 and res[i] > 0:
-                    via[b] = i
-                    queue.append(b)
+        front = np.array([source], dtype=np.int32)
+        while front.size and via[sink] == -1:
+            lo = start[front]
+            lens = end[front] - lo
+            offs = lens.cumsum()
+            idx = np.repeat(lo - offs + lens, lens)  # each arc's slot in order
+            idx += np.arange(offs[-1], dtype=np.int32)
+            arcs = order[idx]
+            arcs = arcs[res[arcs] > 0]
+            b = head[arcs]
+            new = via[b] == -1
+            arcs, b = arcs[new], b[new]
+            via[b] = arcs  # one write per node survives
+            front = b[via[b] == arcs]
         if via[sink] == -1:
-            return [v for v in range(n) if via[2 * v] != -1 and via[2 * v + 1] == -1]
-        if flow == cap:
-            return None
-        b = sink
-        while b != source:
-            i = via[b]
-            res[i] -= 1
-            res[i ^ 1] += 1
-            b = head[i ^ 1]
-        flow += 1
+            seen = via != -1
+            return np.flatnonzero(seen[0::2] & ~seen[1::2]).tolist()
+        used: set[int] = set()
+        for i in into_sink[(res[into_sink] > 0) & (via[head[into_sink ^ 1]] != -1)].tolist():
+            path, nodes = [i], []
+            b = int(head[i ^ 1])
+            while b != source and b not in used:
+                nodes.append(b)
+                path.append(int(via[b]))
+                b = int(head[path[-1] ^ 1])
+            if b != source:
+                continue  # shares a node with a path taken in this round
+            if flow == cap:
+                return None
+            used.update(nodes)
+            arcs = np.array(path)
+            res[arcs] -= 1
+            res[arcs ^ 1] += 1
+            flow += 1
 
 
 def is_f_connected(g: Graph, f: int) -> bool:

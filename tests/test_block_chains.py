@@ -75,6 +75,17 @@ def test_default_general_build_fills_full_us_tables(monkeypatch):
     assert 2 * 3 + 2 in sizes  # U at the 2f + 2 cap
 
 
+def test_default_general_build_of_a_deep_tree_matches_bruteforce():
+    # The smallest n among chains of mean degree 6 with 2-vertex separators,
+    # attach 3 and seeds 0..9 whose default f = 3 build recurses this deep.
+    g, seps = gen_block_chain(9, 32, 6.0, 2, 3, 0)
+    o = build_oracle(g, 3)
+    assert max(info.depth for info in o.round_info) >= 4
+    assert len(o.rounds) >= 2
+    for qseed in range(3):
+        check_against_bruteforce(o, g, seps, 3, random.Random(qseed))
+
+
 @SETTINGS
 @given(SEEDS, SEEDS)
 def test_general_block_chain_matches_bruteforce(seed, qseed):

@@ -2,13 +2,17 @@
 against networkx, and the component-grouping DP against brute force."""
 
 import networkx as nx
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs
-from vertexcuts.graph import (Graph, _reconstruct, _subset_sum_states,
-                              component_labels, is_f_connected,
-                              min_st_separator, min_vertex_cut_size)
+from helpers import cycle_graph, graphs, path_graph
+from vertexcuts.errors import InvalidParams, OutOfRange
+from vertexcuts.graph import (Graph, _reconstruct, _split_graph,
+                              _subset_sum_states, component_labels,
+                              is_f_connected, min_st_separator,
+                              min_vertex_cut_size)
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -41,6 +45,67 @@ def test_kernel_matches_networkx_min_node_cut(g, data):
 
 
 @SETTINGS
+@given(graphs(), st.data())
+def test_kernel_calls_on_one_graph_share_no_residual_state(g, data):
+    """A run of calls on one Graph reuses its cached split graph; every
+    answer still matches networkx, and the cached capacities stay intact."""
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n)
+             if s != t and not g.has_edge(s, t)]
+    if not pairs:
+        return
+    h = to_nx(g)
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(0, g.n)),
+                               min_size=2, max_size=8))
+    split = None
+    for (s, t), cap in calls:
+        size = len(nx.minimum_node_cut(h, s, t))
+        sep = min_st_separator(g, s, t, cap)
+        assert (None if size > cap else size) == (None if sep is None else len(sep))
+        if split is None:
+            split = _split_graph(g)
+            initial = split[1].copy()
+        assert _split_graph(g) is split
+        assert np.array_equal(split[1], initial)
+
+
+def hypercube(d: int) -> Graph:
+    return Graph(2 ** d, [(v, v ^ 1 << i) for v in range(2 ** d) for i in range(d)
+                          if v < v ^ 1 << i])
+
+
+def test_kernel_boundary_cases():
+    q5 = hypercube(5)  # antipodal 0 and 31 are separated by 5 vertices, no fewer
+    assert min_st_separator(q5, 0, 31, 5) == list(q5.adj[0])
+    assert min_st_separator(q5, 0, 31, 4) is None
+    fan = Graph(7, [(end, mid) for end in (0, 1) for mid in range(2, 7)])
+    assert min_st_separator(fan, 0, 1, 5) == [2, 3, 4, 5, 6]  # five paths, one BFS
+    assert min_st_separator(fan, 0, 1, 4) is None
+    c8 = cycle_graph(8)
+    assert min_st_separator(c8, 0, 4, 2) == [1, 7]
+    assert min_st_separator(c8, 0, 4, 1) is None
+    assert min_st_separator(c8, 0, 4, 0) is None
+    apart = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert min_st_separator(apart, 0, 4, 3) == []
+    assert min_st_separator(apart, 0, 4, 0) == []
+    assert min_st_separator(apart, 0, 2, 0) is None
+    assert min_st_separator(apart, 0, 2, 1) == [1]
+
+
+@pytest.mark.parametrize("s, t, cap, error", [
+    (2, 2, 3, InvalidParams),   # s == t
+    (1, 2, 10, InvalidParams),  # adjacent
+    (2, 1, 10, InvalidParams),  # adjacent, either order
+    (1, -1, 3, OutOfRange),
+    (-1, 3, 3, OutOfRange),
+    (1, 7, 3, OutOfRange),
+    (1, 3, -1, InvalidParams),  # negative cap
+])
+def test_kernel_rejects_bad_input(s, t, cap, error):
+    with pytest.raises(error):
+        min_st_separator(path_graph(5), s, t, cap)
+
+
+@SETTINGS
 @given(graphs(), st.integers(0, 6))
 def test_connectivity_checks_match_networkx(g, f):
     kappa = nx.node_connectivity(to_nx(g))
@@ -68,11 +133,6 @@ def test_grouping_dp_matches_brute_force(counts):
         assert len(set(taken)) == len(taken)
         assert 0 < len(taken) < len(counts)
         assert sum(counts[i] for i in taken) == state[0]
-
-
-def hypercube(d: int) -> Graph:
-    return Graph(2 ** d, [(v, v ^ 1 << i) for v in range(2 ** d) for i in range(d)
-                          if v < v ^ 1 << i])
 
 
 def test_min_vertex_cut_size_runs_one_pass(monkeypatch):
