@@ -65,11 +65,9 @@ class LeftRightPair:
     u_right: frozenset[int]
 
 
-def _representatives(side: list[int], t_set: frozenset[int], f: int,
-                     singleton: bool) -> frozenset[int]:
+def _representatives(side: list[int], t_set: frozenset[int], f: int) -> frozenset[int]:
     ordered = sorted(v for v in side if v in t_set) + sorted(v for v in side if v not in t_set)
-    k = 1 if singleton else f + 1
-    return frozenset(ordered[:k])
+    return frozenset(ordered[:f + 1])
 
 
 def _one_side(g: Graph, keep_side: frozenset[int], sep: frozenset[int],
@@ -87,18 +85,17 @@ def _one_side(g: Graph, keep_side: frozenset[int], sep: frozenset[int],
 
 
 def build_left_right(g: Graph, t_set: Iterable[int], cut: VertexCutPartition,
-                     f: int, singleton_mode: bool = False) -> LeftRightPair:
+                     f: int) -> LeftRightPair:
     """Split (g, t_set) along a T-cut per the representative-clique rule.
 
     All ids are local to g. The returned graphs carry root-id maps composed
-    through g's. In singleton mode each representative set has one vertex
-    (terminals first) instead of f+1.
+    through g's.
     """
     ts = frozenset(t_set)
     g.check_vertices(ts)
     cut.validate(g)
-    u_right = _representatives(sorted(cut.right), ts, f, singleton_mode)
-    u_left = _representatives(sorted(cut.left), ts, f, singleton_mode)
+    u_right = _representatives(sorted(cut.right), ts, f)
+    u_left = _representatives(sorted(cut.left), ts, f)
     g_left = _one_side(g, cut.left, cut.sep, u_right)
     g_right = _one_side(g, cut.right, cut.sep, u_left)
     return LeftRightPair(g_left, g_right, u_left, u_right)
@@ -258,7 +255,6 @@ class TreeParams:
 
     c: float = 4.0
     eps_override: Optional[Fraction] = None
-    singleton_mode: bool = False
     enum_budget: int = 150_000
     improve_budget: int = 30_000
     pair_samples: int = 8
@@ -360,7 +356,7 @@ def build_lr_tree(g: Graph, t_set: Iterable[int], f: int,
             graph, local_terms, eps, f,
             enum_budget=params.enum_budget, improve_budget=params.improve_budget,
             pair_samples=params.pair_samples, seed=params.seed)
-        pair = build_left_right(graph, local_terms, res.cut, f, params.singleton_mode)
+        pair = build_left_right(graph, local_terms, res.cut, f)
         cut_root = VertexCutPartition(_root_set(graph, res.cut.left),
                                       _root_set(graph, res.cut.sep),
                                       _root_set(graph, res.cut.right))

@@ -63,7 +63,3 @@ class InvalidParams(VertexCutsError):
 
 class CertificationFailed(VertexCutsError):
     """A generated graph failed its advertised certification."""
-
-
-class VerificationFailed(VertexCutsError):
-    """A randomized construction failed verification after bounded retries."""

@@ -3,7 +3,7 @@ TED export directories, and JSON reports.
 
 Container layout (byte-exact):
   bytes 0..3   magic b"VCUT"
-  bytes 4..5   format version, u16 little-endian (currently 3)
+  bytes 4..5   format version, u16 little-endian (currently 4)
   bytes 6..13  manifest byte length, u64 little-endian
   ...          manifest: canonical JSON (UTF-8, sorted keys, separators ",",":")
   8 bytes      payload byte length, u64 little-endian
@@ -11,7 +11,9 @@ Container layout (byte-exact):
   last 32      SHA-256 over all preceding bytes
 
 Canonical JSON makes serialization deterministic, so structure sizes are
-reproducible byte-exactly.
+reproducible byte-exactly. The payload holds the input and work graphs and
+one detector record per round; a round of any other type, and a container
+of any other version, is rejected (docs/FORMATS.md).
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from .detectors import FewTDetector, TEDetector, USDetector, build_fewt, build_t
 from .errors import InvalidParams
 from .graph import Graph
 from .labels import LabelingScheme
-from .oracle import (DetectorNode, HitMissFamily, HitMissRound, OracleMode,
-                     RoundInfo, TerminalCutDetector, VertexCutOracle)
+from .oracle import (DetectorNode, OracleMode, RoundInfo, TerminalCutDetector,
+                     VertexCutOracle)
 
 MAGIC = b"VCUT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -232,26 +234,12 @@ def _detector_from(payload: dict, f: int, leaf_graphs: dict) -> TerminalCutDetec
 
 
 def oracle_payload(o: VertexCutOracle) -> dict:
-    rounds = []
-    for rnd in o.rounds:
-        if isinstance(rnd, HitMissRound):
-            rounds.append({
-                "type": "hitmiss",
-                "family": {"subsets": [sorted(s) for s in rnd.family.subsets],
-                           "t_set": sorted(rnd.family.t_set),
-                           "f": rnd.family.f,
-                           "verified": rnd.family.verified},
-                "s_star": sorted(rnd.s_star),
-                "detectors": [_detector_payload(d) for d in rnd.detectors],
-            })
-        else:
-            rounds.append(_detector_payload(rnd))
     return {
         "mode": o.mode.value,
         "f": o.f,
         "graph": _graph_payload(o.graph),
         "work": _graph_payload(o.work),
-        "rounds": rounds,
+        "rounds": [_detector_payload(det) for det in o.rounds],
     }
 
 
@@ -268,20 +256,9 @@ def oracle_from_payload(payload: dict, manifest: dict) -> VertexCutOracle:
     leaf_graphs: dict = {}  # shared by every leaf of this load
     rounds = []
     for rp in payload["rounds"]:
-        if rp["type"] == "hitmiss":
-            fam = HitMissFamily(tuple(frozenset(s) for s in rp["family"]["subsets"]),
-                                frozenset(rp["family"]["t_set"]),
-                                rp["family"]["f"], rp["family"]["verified"])
-            work.check_vertices(fam.t_set)
-            if not all(s <= fam.t_set for s in fam.subsets):
-                raise InvalidParams("hit-miss family subset outside its terminal set")
-            dets = [_detector_from(dp, f, leaf_graphs) for dp in rp["detectors"]]
-            if len(dets) != fam.k:
-                raise InvalidParams(f"hit-miss round has {len(dets)} detectors "
-                                    f"for {fam.k} subsets")
-            rounds.append(HitMissRound(fam, dets, frozenset(rp["s_star"])))
-        else:
-            rounds.append(_detector_from(rp, f, leaf_graphs))
+        if rp["type"] != "detector":
+            raise InvalidParams(f"unknown round type {rp['type']!r}")
+        rounds.append(_detector_from(rp, f, leaf_graphs))
     return VertexCutOracle(graph, work, f, mode, rounds,
                            _round_info_from(manifest, len(rounds)), manifest)
 

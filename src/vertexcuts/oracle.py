@@ -5,10 +5,18 @@ and whose internal nodes carry US detectors; a tree-search query visits only
 O(2^|F|) branch points. The oracle iterates terminal reduction (T starts at
 V and shrinks to the union of separators) and stores one detector per round.
 Three modes: general, f-connected (single-path queries, |F| = f only), and
-hit-miss (a verified family of terminal subsets lets every US detector use an
-empty U-set). A hit-miss round in which every subset would be one few-terminals
-leaf over the work graph, as at default parameters, is that one leaf over T
-and draws no family.
+hit-miss.
+
+The paper's hit-miss mode draws a random family of terminal subsets and builds
+one empty-U detector per subset. With k = ceil((f*log2 n)^3) subsets and eps =
+1/(c*k*log2|T|), a subset of at most (f+1)/eps terminals is one few-terminals
+leaf over the work graph, so a family is worth drawing only when
+|T| > (f+1)*c*log2|T|*k. At T = V and c = 4 that first happens at n of about
+1.39*10^6 for f = 1, 3.9*10^7 for f = 2 and 2.6*10^8 for f = 3. Below that,
+every subset's detector is the same leaf over the work graph, and it answers
+"cut" iff T - F meets two components of work - F. So this oracle builds a
+hit-miss round as that one leaf over T = V at every size, with S* empty: one
+round, no family.
 """
 
 from __future__ import annotations
@@ -18,18 +26,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .connectivity import FailureConnectivityOracle, build_conn_oracle
 from .detectors import (DetectorAnswer, FewTDetector, TEDetector, USDetector,
                         build_fewt, build_te, build_us)
 from .decomposition import (LRNode, LRTree, NodeKind, TreeParams, build_lr_tree)
 from .errors import (ContractUnsatisfiable, DisconnectedInput, InvalidParams,
-                     NotFConnected, TooManyFailures, VerificationFailed,
-                     WrongQuerySize)
+                     NotFConnected, TooManyFailures, WrongQuerySize)
 from .graph import Graph, is_f_connected, sparsify as sparsify_graph
 
 
@@ -140,8 +144,7 @@ def _conn_for(graph: Graph, f: int,
 
 
 def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
-             debug: bool, pool: dict[Graph, FailureConnectivityOracle],
-             empty_u: bool = False) -> DetectorNode:
+             debug: bool, pool: dict[Graph, FailureConnectivityOracle]) -> DetectorNode:
     g = node.graph
     root_map = g.root_to_local
     det = DetectorNode(kind=node.kind, vset=node.vertex_set, terminals=node.terminals,
@@ -164,19 +167,17 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
         local_s = [root_map[r] for r in node.cut.sep]
         det.us_self = build_us(g, [], local_s, f, f_connected=True)
     else:
-        # Hit-miss detectors only see queries disjoint from their terminal
-        # subset; the representatives are terminals, so U can be empty.
-        u_root = frozenset() if empty_u else node.u_left | node.u_right
+        u_root = node.u_left | node.u_right
         sl = [gl.root_to_local[r] for r in node.cut.sep]
         ul = [gl.root_to_local[r] for r in u_root]
         det.us_left = build_us(gl, ul, sl, f)
         sr = [gr.root_to_local[r] for r in node.cut.sep]
         ur = [gr.root_to_local[r] for r in u_root]
         det.us_right = build_us(gr, ur, sr, f)
-    det.left = _augment(node.left, f, threshold, fconnected, debug, pool, empty_u)
-    det.right = _augment(node.right, f, threshold, fconnected, debug, pool, empty_u)
+    det.left = _augment(node.left, f, threshold, fconnected, debug, pool)
+    det.right = _augment(node.right, f, threshold, fconnected, debug, pool)
     if node.step is not None:
-        det.step = _augment(node.step, f, threshold, fconnected, debug, pool, empty_u)
+        det.step = _augment(node.step, f, threshold, fconnected, debug, pool)
     return det
 
 
@@ -184,7 +185,6 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
                    params: TreeParams | None = None,
                    fconnected: bool = False, debug: bool = False,
                    tree: LRTree | None = None,
-                   empty_u: bool = False,
                    pool: dict[Graph, FailureConnectivityOracle] | None = None
                    ) -> TerminalCutDetector:
     """Build the LR tree for (g, t_set) and augment it into a cut detector.
@@ -199,8 +199,7 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
         tree = build_lr_tree(g, t_set, f, params)
     if pool is None:
         pool = {}
-    root = _augment(tree.root, f, tree.leaf_threshold, fconnected, debug, pool,
-                    empty_u)
+    root = _augment(tree.root, f, tree.leaf_threshold, fconnected, debug, pool)
     return TerminalCutDetector(root, tree.s_star, f, frozenset(tree.root.terminals),
                                tree.depth, fconnected, tree.eps,
                                tree.sum_vertices, tree.sum_edges)
@@ -331,150 +330,12 @@ def verify_node_contracts(d: TerminalCutDetector, f_set: Iterable[int]) -> list[
 
 
 @dataclass
-class HitMissFamily:
-    """Subsets T_1..T_k of T such that every F with |F| <= f and u,v in T-F
-    has some T_i missing F and containing both u and v."""
-
-    subsets: tuple[frozenset[int], ...]
-    t_set: frozenset[int]
-    f: int
-    verified: str  # "exhaustive" or "sampled"
-
-    @property
-    def k(self) -> int:
-        return len(self.subsets)
-
-
-# The exhaustive family check tests sum_{s<=f} C(t, s) * t(t+1)/2 pairs (F, uv);
-# past this many it samples instead.
-FAMILY_CHECK_CAP = 10 ** 8
-# Bytes of one temporary of the exhaustive check.
-_CHECK_CHUNK_BYTES = 1 << 22
-
-
-def _membership_words(subsets: list[frozenset[int]], index: np.ndarray) -> np.ndarray:
-    """Bit-packed membership: bit i % 64 of word i // 64 in row r is set iff
-    subset i holds the r-th entry of the sorted array ``index``."""
-    sizes = [len(s) for s in subsets]
-    ids = np.searchsorted(index, np.fromiter(chain.from_iterable(subsets),
-                                             dtype=np.intp, count=sum(sizes)))
-    member = np.zeros((len(index), 64 * -(-len(subsets) // 64)), dtype=bool)
-    member[ids, np.repeat(np.arange(len(subsets)), sizes)] = True
-    return np.packbits(member, axis=1, bitorder="little").view("<u8")
-
-
-def _family_property_holds(subsets: list[frozenset[int]], t_list: list[int],
-                           f: int) -> bool:
-    """Exhaustive check of the hit-miss property: for every F in T with
-    |F| <= f and every pair u <= v in T - F, some subset misses F and holds
-    u and v.
-
-    P[uv] = M[u] & M[v] packs the subsets holding both ends of a pair. F runs
-    over prefixes of size |F| - 1 with its last element y vectorized; a pair
-    is screened on its first word and, where that misses, rechecked word by
-    word."""
-    t = len(t_list)
-    words = _membership_words(subsets, np.asarray(t_list))
-    pu, pv = np.triu_indices(t)
-    pairs = words[pu] & words[pv]
-    if not pairs.any(axis=1).all():  # F = {}
-        return False
-    first = np.ascontiguousarray(pairs[:, 0])
-    for size in range(1, f + 1):
-        for prefix in combinations(range(t), size - 1):
-            ys = np.arange(prefix[-1] + 1 if prefix else 0, t)
-            hit = np.bitwise_or.reduce(words[list(prefix)], axis=0)
-            miss = ~(hit | words[ys])                      # one row per y
-            cols = np.flatnonzero(~(np.isin(pu, prefix) | np.isin(pv, prefix)))
-            first_c, u_c, v_c = first[cols], pu[cols], pv[cols]
-            step = max(1, _CHECK_CHUNK_BYTES // (8 * max(1, cols.size)))
-            for lo in range(0, ys.size, step):
-                yi, pi = np.nonzero((miss[lo:lo + step, :1] & first_c) == 0)
-                yi += lo
-                y = ys[yi]
-                keep = (u_c[pi] != y) & (v_c[pi] != y)      # pairs avoiding y
-                yi, pi = yi[keep], cols[pi[keep]]
-                for w in range(1, words.shape[1]):
-                    if not yi.size:
-                        break
-                    uncovered = (pairs[pi, w] & miss[yi, w]) == 0
-                    yi, pi = yi[uncovered], pi[uncovered]
-                if yi.size:
-                    return False
-    return True
-
-
-def _family_property_sampled(subsets: list[frozenset[int]], t_list: list[int],
-                             f: int, sample_checks: int, seed: int) -> bool:
-    """The hit-miss property at sample_checks random (F, u, v)."""
-    import random as _random
-    t = len(t_list)
-    k = len(subsets)
-    idx = {v: i for i, v in enumerate(t_list)}
-    member = np.zeros((k, t), dtype=bool)
-    for i, sub in enumerate(subsets):
-        for v in sub:
-            member[i, idx[v]] = True
-    rng = _random.Random(seed)
-    for _ in range(sample_checks):
-        size = rng.randint(0, f)
-        fs = rng.sample(range(t), size) if size else []
-        live = [i for i in range(t) if i not in set(fs)]
-        if not live:
-            continue
-        u = rng.choice(live)
-        v = rng.choice(live)
-        miss = ~member[:, fs].any(axis=1) if fs else np.ones(len(subsets), dtype=bool)
-        if not (member[miss][:, u] & member[miss][:, v]).any():
-            return False
-    return True
-
-
-def _family_size(f: int, n: int, constant: float) -> int:
-    """k0, the size of a hit-miss family's first draw; retries only grow it."""
-    return max(1, math.ceil(constant * (f * math.log2(max(2, n))) ** 3))
-
-
-def build_hit_miss_family(t_set: Iterable[int], f: int, n: int, seed: int = 0,
-                          constant: float = 1.0, sample_checks: int = 10_000,
-                          max_rounds: int = 8) -> HitMissFamily:
-    """Randomized family of k = constant*(f*log2 n)^3 subsets (each terminal
-    joins each subset with probability 1/(f+1)), verified and resampled until
-    the hit-miss property holds. The check is exhaustive up to
-    FAMILY_CHECK_CAP (F, pair) checks and sampled past it."""
-    if f < 1:
-        raise VerificationFailed("hit-miss family requires f >= 1")
-    import random as _random
-    ts = sorted(set(t_set))
-    t = len(ts)
-    k = _family_size(f, n, constant)
-    if t <= 1:
-        # {T} hits the only terminal whenever F misses it; vacuously verified.
-        return HitMissFamily((frozenset(ts),), frozenset(ts), f, "exhaustive")
-    checks = sum(math.comb(t, s) for s in range(f + 1)) * t * (t + 1) // 2
-    exhaustive = checks <= FAMILY_CHECK_CAP
-    for attempt in range(max_rounds):
-        rng = _random.Random((seed << 4) ^ attempt ^ (t << 16))
-        p = 1.0 / (f + 1)
-        subsets = [frozenset(v for v in ts if rng.random() < p) for _ in range(k)]
-        if (_family_property_holds(subsets, ts, f) if exhaustive else
-                _family_property_sampled(subsets, ts, f, sample_checks,
-                                         seed ^ 0x5EED ^ attempt)):
-            return HitMissFamily(tuple(subsets), frozenset(ts), f,
-                                 "exhaustive" if exhaustive else "sampled")
-        k = math.ceil(1.3 * k) + 8
-    raise VerificationFailed(f"no verified hit-miss family after {max_rounds} rounds")
-
-
-@dataclass
 class RoundInfo:
     terminal_count: int
     s_star_count: int
     depth: int
     sum_vertices: int
     sum_edges: int
-    family_k: int = 0
-    family_verified: str = ""
 
     def manifest_entry(self) -> dict:
         return {
@@ -483,21 +344,17 @@ class RoundInfo:
             "tree_depth": self.depth,
             "sum_vertices": self.sum_vertices,
             "sum_edges": self.sum_edges,
-            **({"family_k": self.family_k, "family_verified": self.family_verified}
-               if self.family_k else {}),
         }
 
     @classmethod
     def from_manifest_entry(cls, entry: dict) -> "RoundInfo":
         return cls(entry["terminals"], entry["s_star"], entry["tree_depth"],
-                   entry["sum_vertices"], entry["sum_edges"],
-                   entry.get("family_k", 0), entry.get("family_verified", ""))
+                   entry["sum_vertices"], entry["sum_edges"])
 
 
 class VertexCutOracle:
     """Stores the per-round cut detectors; a query F is a cut iff some round's
-    detector answers "cut" (in a hit-miss round with a family, only the
-    detectors whose subset misses F are asked)."""
+    detector answers "cut"."""
 
     def __init__(self, graph: Graph, work: Graph, f: int, mode: OracleMode,
                  rounds, round_info: list[RoundInfo], manifest: dict):
@@ -520,28 +377,12 @@ class VertexCutOracle:
         all_stats: list[QueryStats] = []
         if self.mode is OracleMode.FCONNECTED and len(fs) < self.f:
             return False, all_stats  # smaller sets cannot cut an f-connected graph
-        for rnd in self.rounds:
-            if isinstance(rnd, HitMissRound):  # never ask a subset that meets F
-                dets = (d for sub, d in zip(rnd.family.subsets, rnd.detectors)
-                        if not sub & fs)
-            else:
-                dets = (rnd,)
-            for det in dets:
-                ans, stats = det.query(fs)
-                all_stats.append(stats)
-                if ans is DetectorAnswer.CUT:
-                    return True, all_stats
+        for det in self.rounds:
+            ans, stats = det.query(fs)
+            all_stats.append(stats)
+            if ans is DetectorAnswer.CUT:
+                return True, all_stats
         return False, all_stats
-
-
-@dataclass
-class HitMissRound:
-    """A non-trivial hit-miss round: the family and one detector per subset.
-    A trivial round is a plain single-leaf TerminalCutDetector instead."""
-
-    family: HitMissFamily
-    detectors: list[TerminalCutDetector]
-    s_star: frozenset[int]
 
 
 def _round_guard(i: int, n: int) -> None:
@@ -552,7 +393,6 @@ def _round_guard(i: int, n: int) -> None:
 def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
                  params: TreeParams | None = None, *, use_sparsify: bool = True,
                  attest_f_connected: bool = False, debug: bool = False,
-                 family_constant: float = 1.0, family_seed: int = 0,
                  fconn_check_cap: int = 64) -> VertexCutOracle:
     """Preprocess g into an f-vertex cut oracle.
 
@@ -579,7 +419,7 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
             raise NotFConnected(
                 f"n={g.n} exceeds the exact-check cap; pass attest_f_connected=True")
 
-    rounds = []
+    rounds: list[TerminalCutDetector] = []
     info: list[RoundInfo] = []
     pool: dict[Graph, FailureConnectivityOracle] = {}
     terms = frozenset(range(work.n))
@@ -587,20 +427,15 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
     while terms:
         _round_guard(i, work.n)
         if mode is OracleMode.HITMISS:
-            rnd, rnd_info = _build_hitmiss_round(work, terms, f, params,
-                                                 family_constant, family_seed + i,
-                                                 debug, pool)
-            s_star = rnd.s_star
-            info.append(rnd_info)
-            rounds.append(rnd)
+            det = _build_hitmiss_round(work, terms, f, params, debug, pool)
         else:
             det = build_detector(work, terms, f, params,
                                  fconnected=(mode is OracleMode.FCONNECTED),
                                  debug=debug, pool=pool)
-            s_star = det.s_star
-            info.append(RoundInfo(len(terms), len(s_star), det.depth,
-                                  det.sum_vertices, det.sum_edges))
-            rounds.append(det)
+        s_star = det.s_star
+        info.append(RoundInfo(len(terms), len(s_star), det.depth,
+                              det.sum_vertices, det.sum_edges))
+        rounds.append(det)
         if 2 * len(s_star) > len(terms):
             raise ContractUnsatisfiable(
                 f"round {i}: |S*|={len(s_star)} exceeds half of |T|={len(terms)}")
@@ -622,47 +457,14 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
 
 
 def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
-                         params: TreeParams, family_constant: float,
-                         seed: int, debug: bool,
+                         params: TreeParams, debug: bool,
                          pool: dict[Graph, FailureConnectivityOracle]
-                         ) -> tuple[HitMissRound | TerminalCutDetector, RoundInfo]:
-    """One hit-miss round over the terminals ``terms``.
-
-    The round is trivial when every subset would get a single FewT leaf over
-    the work graph, i.e. has at most (f+1)/eps terminals, with eps =
-    1/(c*k0*log2|T|) unless overridden and k0 the family's first-draw size.
-    Subsets lie inside T, so |T| <= (f+1)/eps decides it before any family
-    is drawn (retries only grow k). With an exhaustively verified family, a
-    trivial round answers "cut" iff T - F meets two components of work - F,
-    which is what one FewT leaf over T answers; a sampled family could only
-    miss cuts the leaf finds."""
-    eps = params.eps_for(len(terms))
-    if params.eps_override is None:
-        eps /= _family_size(f, work.n, family_constant)
-    threshold = Fraction(f + 1) / eps
-    family = None
-    if len(terms) > threshold:
-        family = build_hit_miss_family(terms, f, work.n, seed=seed,
-                                       constant=family_constant)
-    if family is None or all(len(sub) <= threshold for sub in family.subsets):
-        leaf = DetectorNode(NodeKind.LEAF_FEWT, work.root_vertex_set(), terms,
-                            leaf=build_fewt(work, terms, f,
-                                            conn=_conn_for(work, f, pool)),
-                            debug_graph=work if debug else None)
-        det = TerminalCutDetector(leaf, frozenset(), f, terms, 1, False, eps,
-                                  work.n, work.m)
-        return det, RoundInfo(len(terms), 0, 1, work.n, work.m)
-    hm_params = TreeParams(c=params.c, eps_override=eps, singleton_mode=True,
-                           enum_budget=params.enum_budget,
-                           improve_budget=params.improve_budget,
-                           pair_samples=params.pair_samples, seed=params.seed,
-                           max_depth=params.max_depth)
-    detectors = [build_detector(work, sub, f, hm_params, debug=debug, empty_u=True,
-                                pool=pool)
-                 for sub in family.subsets]
-    s_star = frozenset().union(*(det.s_star for det in detectors))
-    rnd = HitMissRound(family, detectors, s_star)
-    return rnd, RoundInfo(len(terms), len(s_star), max(d.depth for d in detectors),
-                          sum(d.sum_vertices for d in detectors),
-                          sum(d.sum_edges for d in detectors),
-                          family_k=family.k, family_verified=family.verified)
+                         ) -> TerminalCutDetector:
+    """A hit-miss round over the terminals ``terms``: one few-terminals leaf
+    over the work graph with S* empty, which answers "cut" iff T - F meets
+    two components of work - F (see the module docstring)."""
+    leaf = DetectorNode(NodeKind.LEAF_FEWT, work.root_vertex_set(), terms,
+                        leaf=build_fewt(work, terms, f, conn=_conn_for(work, f, pool)),
+                        debug_graph=work if debug else None)
+    return TerminalCutDetector(leaf, frozenset(), f, terms, 1, False,
+                               params.eps_for(len(terms)), work.n, work.m)

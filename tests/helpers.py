@@ -159,32 +159,6 @@ def us_tables_reference(g: Graph, u_set, s_set, f: int) -> dict:
     return tables
 
 
-def family_property_reference(subsets, t_list, f) -> bool:
-    """Reference hit-miss check: for every F in T with |F| <= f, the subsets
-    missing F, restricted to T - F, must cover every pair u, v (u = v
-    included) of T - F."""
-    import numpy as np
-    t = len(t_list)
-    k = len(subsets)
-    idx = {v: i for i, v in enumerate(t_list)}
-    member = np.zeros((k, t), dtype=bool)
-    for i, sub in enumerate(subsets):
-        for v in sub:
-            member[i, idx[v]] = True
-    for size in range(0, f + 1):
-        for fs in combinations(range(t), size):
-            miss = ~member[:, fs].any(axis=1) if fs else np.ones(k, dtype=bool)
-            live = np.ones(t, dtype=bool)
-            live[list(fs)] = False
-            if not live.any():
-                continue
-            sub = member[miss][:, live]
-            cov = sub.T.astype(np.int32) @ sub.astype(np.int32)
-            if not (cov > 0).all():
-                return False
-    return True
-
-
 def container(manifest: bytes, payload: bytes, mlen: int | None = None,
               version: int | None = None) -> bytes:
     """An oracle container laid out as io.oracle_to_bytes lays it out, with a

@@ -51,9 +51,6 @@ def test_build_left_right_representative_order():
                              frozenset({3, 4, 5, 6, 7}))
     pair = build_left_right(g, [0, 5, 7], cut, 1)
     assert sorted(pair.u_right) == [5, 7]   # the two terminals, not 3,4
-    single = build_left_right(g, [0, 5, 7], cut, 1, singleton_mode=True)
-    assert sorted(single.u_right) == [5]
-    assert sorted(single.u_left) == [0]
 
 
 def test_build_left_right_rejects_crossing_edge():

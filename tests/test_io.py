@@ -5,6 +5,7 @@ are rejected with a library error."""
 
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,10 @@ from helpers import (barbell_graph, container, container_parts, cycle_graph,
 from vertexcuts.decomposition import TreeParams
 from vertexcuts.errors import InvalidParams, VertexCutsError
 from vertexcuts.generators import gen_connected_gnp
+import vertexcuts.io as vio
 from vertexcuts.io import (canonical_json_bytes, load_oracle, oracle_from_bytes,
                            oracle_payload, oracle_to_bytes, save_oracle)
-from vertexcuts.oracle import HitMissRound, OracleMode, build_oracle
+from vertexcuts.oracle import OracleMode, build_oracle
 
 DEEP = TreeParams(eps_override=Fraction(1, 2))
 CASES = [
@@ -33,11 +35,10 @@ CASES = [
 
 
 def leaves(o):
-    for rnd in o.rounds:
-        for det in (rnd.detectors if isinstance(rnd, HitMissRound) else [rnd]):
-            for node in det.nodes():
-                if node.leaf is not None:
-                    yield node.leaf
+    for det in o.rounds:
+        for node in det.nodes():
+            if node.leaf is not None:
+                yield node.leaf
 
 
 @pytest.mark.parametrize("g,f,mode,params", CASES)
@@ -74,14 +75,16 @@ def test_reload_shares_connectivity_oracles_as_built(g, f, mode, params):
 
 
 def test_leaves_over_one_graph_share_one_oracle():
-    # a hit-miss subset with few terminals is a single leaf over the whole
-    # work graph; eps is overridden so that other subsets split
-    o = build_oracle(two_blob_graph(8, 2, 0.5, 9), 1, OracleMode.HITMISS,
-                     TreeParams(eps_override=Fraction(1, 3)))
-    assert isinstance(o.rounds[0], HitMissRound)
+    # eps is overridden so that the trees split; 31 leaves, within and
+    # across rounds, lie over 12 distinct graphs
+    o = build_oracle(two_blob_graph(12, 2, 0.5, 13), 1,
+                     params=TreeParams(eps_override=Fraction(1, 3)))
     for oracle in (o, oracle_from_bytes(oracle_to_bytes(o))):
-        dets = [d for d in leaves(oracle) if d.graph.n == oracle.work.n]
-        assert len(dets) > 1 and len({id(d.conn) for d in dets}) == 1
+        by_graph = {}
+        for det in leaves(oracle):
+            by_graph.setdefault(det.graph, []).append(det)
+        assert all(len({id(d.conn) for d in dets}) == 1 for dets in by_graph.values())
+        assert max(len(dets) for dets in by_graph.values()) > 1
 
 
 def test_leaf_interning_matches_whole_graphs():
@@ -120,34 +123,6 @@ def test_malformed_checksummed_containers_raise_invalid_params():
             oracle_from_bytes(data)
 
 
-# eps = 1/2 puts |T| = 6 above the threshold 4, so the round keeps its family
-HITMISS_FAMILY = (path_graph(6), 1, OracleMode.HITMISS,
-                  TreeParams(eps_override=Fraction(1, 2)))
-
-
-def test_family_outside_the_work_graph_is_rejected():
-    o = build_oracle(*HITMISS_FAMILY)
-    manifest = canonical_json_bytes(o.manifest)
-    payload = oracle_payload(o)
-    family = payload["rounds"][0]["family"]
-    for edit in ({"subsets": [[-1, 0]] + family["subsets"][1:]},
-                 {"t_set": family["t_set"] + [6], "subsets": [[6]] + family["subsets"]}):
-        bad = dict(payload, rounds=[dict(payload["rounds"][0], family=dict(family, **edit))])
-        with pytest.raises(VertexCutsError):
-            oracle_from_bytes(container(manifest, canonical_json_bytes(bad)))
-
-
-def test_hitmiss_round_without_a_detector_per_subset_is_rejected():
-    o = build_oracle(*HITMISS_FAMILY)
-    manifest = canonical_json_bytes(o.manifest)
-    payload = oracle_payload(o)
-    rnd = payload["rounds"][0]
-    for dets in ([], rnd["detectors"][1:]):
-        bad = dict(payload, rounds=[dict(rnd, detectors=dets)])
-        with pytest.raises(InvalidParams, match="detectors for"):
-            oracle_from_bytes(container(manifest, canonical_json_bytes(bad)))
-
-
 MANIFEST_EDITS = {"n": 1, "m": 1, "f": 1, "work_edges": 1, "mode": "hitmiss"}
 
 
@@ -172,14 +147,11 @@ def test_payload_that_disagrees_with_the_manifest_is_rejected(old, new):
         oracle_from_bytes(rechecksummed(data[:i] + new + data[i + len(old):]))
 
 
-# OracleMode.HITMISS is a trivial hit-miss round, "hitmiss-family" one with
-# a family and a detector per subset.
 FUZZ = {key: oracle_to_bytes(build_oracle(g, f, mode, params))
         for key, (g, f, mode, params) in {
             OracleMode.GENERAL: (gen_connected_gnp(9, 0.4, 3), 2, OracleMode.GENERAL, None),
             OracleMode.FCONNECTED: (cycle_graph(6), 2, OracleMode.FCONNECTED, None),
             OracleMode.HITMISS: (path_graph(5), 1, OracleMode.HITMISS, None),
-            "hitmiss-family": HITMISS_FAMILY,
         }.items()}
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -223,15 +195,28 @@ def test_fuzz_rechecksummed_byte_edits(mode, data):
     loads_or_raises_library_error(rechecksummed(bytes(blob)))
 
 
-def test_version_1_container_is_rejected():
+def test_older_container_versions_are_rejected():
+    # version 2 changed the hit-miss round record, version 3 stored a trivial
+    # hit-miss round as a detector record, version 4 has no hit-miss record
     manifest, payload = container_parts(FUZZ[OracleMode.HITMISS])
-    with pytest.raises(InvalidParams, match="unsupported container version 1"):
-        oracle_from_bytes(container(manifest, payload, version=1))
+    for version in (1, 2, 3):
+        with pytest.raises(InvalidParams,
+                           match=f"unsupported container version {version}"):
+            oracle_from_bytes(container(manifest, payload, version=version))
 
 
-def test_version_2_container_is_rejected():
-    # version 2 stored a trivial hit-miss round as its family alone
-    for blob in (FUZZ[OracleMode.HITMISS], FUZZ["hitmiss-family"]):
-        manifest, payload = container_parts(blob)
-        with pytest.raises(InvalidParams, match="unsupported container version 2"):
-            oracle_from_bytes(container(manifest, payload, version=2))
+def test_unknown_round_type_is_rejected():
+    o = build_oracle(path_graph(5), 1, OracleMode.HITMISS)
+    payload = oracle_payload(o)
+    bad = dict(payload, rounds=[dict(payload["rounds"][0], type="hitmiss")])
+    with pytest.raises(InvalidParams, match="unknown round type 'hitmiss'"):
+        oracle_from_bytes(container(canonical_json_bytes(o.manifest),
+                                    canonical_json_bytes(bad)))
+
+
+def test_format_docs_name_the_current_version():
+    formats = Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"
+    docs = " ".join(formats.read_text().split())
+    current = f"(currently {vio.FORMAT_VERSION})"
+    assert current in docs and current in vio.__doc__
+    assert f"Only version {vio.FORMAT_VERSION} is read" in docs

@@ -1,29 +1,24 @@
-"""Assembled oracle: tree search, the three modes, hit-miss families, query
-stats laws, and the serialized container."""
+"""Assembled oracle: tree search, the three modes, the one-leaf hit-miss
+round, query stats laws, and the serialized container."""
 
 import math
 import random
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import (barbell_graph, complete_graph, cycle_graph,
-                     family_property_reference, path_graph,
+from helpers import (barbell_graph, complete_graph, cycle_graph, path_graph,
                      subsets_upto, two_blob_graph)
 from vertexcuts.decomposition import NodeKind, TreeParams
 from vertexcuts.detectors import DetectorAnswer
 from vertexcuts.errors import (DisconnectedInput, InvalidParams, NotFConnected,
-                               TooManyFailures, VerificationFailed, WrongQuerySize)
+                               TooManyFailures, WrongQuerySize)
 from vertexcuts.generators import (gen_block_chain, gen_connected_gnp, gen_f_connected,
                                    gen_lb_family)
 from vertexcuts.graph import Graph, is_cut_bruteforce
 from vertexcuts.io import oracle_from_bytes, oracle_payload, oracle_to_bytes
-from vertexcuts.oracle import (HitMissRound, OracleMode, TerminalCutDetector,
-                               _family_property_holds, build_detector,
-                               build_hit_miss_family, build_oracle,
-                               query_detector_fconnected)
+from vertexcuts.oracle import (OracleMode, TerminalCutDetector, build_detector,
+                               build_oracle, query_detector_fconnected)
 from vertexcuts.validate import check_query_stats
 
 P4 = path_graph(4)
@@ -166,59 +161,6 @@ def test_fconnected_detector_query_size():
         query_detector_fconnected(det, [0])
 
 
-def test_hit_miss_family_examples():
-    fam = build_hit_miss_family([0, 1, 2], 1, 8, seed=1)
-    assert fam.verified == "exhaustive"
-    # direct check of the defining property over F' ⊆ T
-    for fprime in subsets_upto(3, 1):
-        fset = set(fprime)
-        for u in range(3):
-            for v in range(3):
-                if u in fset or v in fset:
-                    continue
-                assert any(not (s & fset) and u in s and v in s
-                           for s in fam.subsets), (fprime, u, v)
-    single = build_hit_miss_family([5], 2, 8, seed=0)
-    assert single.subsets == (frozenset({5}),)
-    fam10 = build_hit_miss_family(range(10), 2, 16, seed=3)
-    assert fam10.verified == "exhaustive"
-    with pytest.raises(VerificationFailed):
-        build_hit_miss_family([0, 1], 0, 8)
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.data())
-def test_packed_family_check_matches_reference(data):
-    f = data.draw(st.integers(1, 3), label="f")
-    t_list = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=12),
-                              label="T"))
-    if data.draw(st.booleans(), label="verified family, one subset dropped"):
-        fam = build_hit_miss_family(t_list, f, 8, seed=data.draw(st.integers(0, 99)),
-                                    constant=0.1)
-        subsets = list(fam.subsets)
-        del subsets[data.draw(st.integers(0, len(subsets) - 1))]
-    else:
-        subsets = data.draw(st.lists(st.sets(st.sampled_from(t_list)).map(frozenset),
-                                     min_size=1, max_size=70), label="subsets")
-    assert (_family_property_holds(subsets, t_list, f)
-            == family_property_reference(subsets, t_list, f))
-
-
-def test_hitmiss_chain_sized_family_is_checked_exhaustively():
-    fam = build_hit_miss_family(range(106), 2, 106, seed=0)
-    assert fam.verified == "exhaustive" and fam.k > 2000
-    # drop every subset that covers the pair {2, 3} for F = {0, 1}
-    kept = [s for s in fam.subsets if not ({2, 3} <= s and not s & {0, 1})]
-    assert len(kept) < fam.k
-    assert not _family_property_holds(kept, list(range(106)), 2)
-
-
-def test_family_check_samples_past_the_cap(monkeypatch):
-    import vertexcuts.oracle as vo
-    monkeypatch.setattr(vo, "FAMILY_CHECK_CAP", 10)
-    assert build_hit_miss_family(range(10), 2, 16, seed=3).verified == "sampled"
-
-
 def test_hitmiss_oracle_exhaustive():
     # F = V on the one-edge graph leaves no live vertex
     for g, f in [(P4, 1), (K4, 2), (gen_connected_gnp(16, 0.4, 33), 2),
@@ -228,53 +170,6 @@ def test_hitmiss_oracle_exhaustive():
             assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
-def test_hitmiss_never_queries_hit_subsets(monkeypatch):
-    # eps = 1/2 puts |T| = 14 above the threshold 6, so the round has a family
-    g = gen_connected_gnp(14, 0.35, 71)
-    o = build_oracle(g, 2, OracleMode.HITMISS,
-                     params=TreeParams(eps_override=Fraction(1, 2)))
-    rnd = o.rounds[0]
-    assert isinstance(rnd, HitMissRound)
-    asked = []
-    real_query = TerminalCutDetector.query
-    monkeypatch.setattr(TerminalCutDetector, "query",
-                        lambda det, fs: asked.append(det) or real_query(det, fs))
-    for fs in subsets_upto(14, 2):
-        asked.clear()
-        fset = frozenset(fs)
-        got = o.query(fset)
-        assert got == is_cut_bruteforce(g, fs), fs
-        missed = [d for sub, d in zip(rnd.family.subsets, rnd.detectors)
-                  if not sub & fset]
-        first = [d for d in asked if any(d is m for m in rnd.detectors)]
-        # round 0 asks the subsets that miss F in order, up to the first "cut"
-        assert all(a is m for a, m in zip(first, missed))
-        assert len(first) == len(missed) or got
-
-
-def test_hitmiss_deep_tree_with_singletons():
-    # eps override forces real splits inside hit-miss detectors: singleton
-    # representatives and empty-U US detectors.
-    g = two_blob_graph(12, 2, 0.5, 13)
-    o = build_oracle(g, 1, OracleMode.HITMISS,
-                     params=TreeParams(eps_override=Fraction(1, 3)))
-    deep = False
-    for rnd in o.rounds:
-        if not isinstance(rnd, HitMissRound):  # a trivial round: one leaf
-            assert rnd.root.is_leaf
-            continue
-        assert rnd.family.verified == "exhaustive"
-        assert len(rnd.detectors) == rnd.family.k
-        for det in rnd.detectors:
-            if not det.root.is_leaf:
-                deep = True
-                assert len(det.root.u_right) <= 1
-                assert det.root.us_left.u_set == frozenset()
-    assert deep
-    for fs in subsets_upto(g.n, 1):
-        assert o.query(fs) == is_cut_bruteforce(g, fs), fs
-
-
 def assert_one_leaf_over_the_work_graph(o):
     assert len(o.rounds) == len(o.round_info) == 1
     det, info = o.rounds[0], o.round_info[0]
@@ -282,71 +177,30 @@ def assert_one_leaf_over_the_work_graph(o):
     assert det.root.kind is NodeKind.LEAF_FEWT and det.s_star == frozenset()
     assert det.root.leaf.graph == o.work
     assert det.terminals == det.root.terminals == frozenset(range(o.work.n))
-    assert (info.depth, info.s_star_count, info.family_k) == (1, 0, 0)
+    assert (info.depth, info.s_star_count) == (1, 0)
     assert (info.sum_vertices, info.sum_edges) == (o.work.n, o.work.m)
-    # stored as a detector record, with no family in the manifest
     assert [r["type"] for r in oracle_payload(o)["rounds"]] == ["detector"]
-    assert "family_k" not in o.manifest["rounds"][0]
 
 
-def spy_on_family(monkeypatch) -> tuple[list, list]:
-    """Record the families build_oracle draws and the exhaustive checks."""
-    import vertexcuts.oracle as vo
-    drawn, checked = [], []
-    draw, check = vo.build_hit_miss_family, vo._family_property_holds
-    monkeypatch.setattr(vo, "build_hit_miss_family",
-                        lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
-    monkeypatch.setattr(vo, "_family_property_holds",
-                        lambda *a: checked.append(a) or check(*a))
-    return drawn, checked
-
-
-@pytest.mark.parametrize("g,f", [
-    (gen_block_chain(3, 10, 5.0, 2, 3, 4)[0], 2),
-    (gen_connected_gnp(16, 0.4, 33), 2),
+@pytest.mark.parametrize("g,f,params", [
+    pytest.param(gen_block_chain(3, 10, 5.0, 2, 3, 4)[0], 2, None, id="g0-2"),
+    pytest.param(gen_connected_gnp(16, 0.4, 33), 2, None, id="g1-2"),
+    # eps overrides that make deep trees in general mode change nothing here
+    pytest.param(gen_connected_gnp(14, 0.35, 71), 2,
+                 TreeParams(eps_override=Fraction(1, 2)), id="gnp14-2-eps1_2"),
+    pytest.param(two_blob_graph(12, 2, 0.5, 13), 1,
+                 TreeParams(eps_override=Fraction(1, 3)), id="blob12-1-eps1_3"),
+    pytest.param(gen_connected_gnp(16, 0.4, 33), 2,
+                 TreeParams(eps_override=Fraction(1, 5)), id="gnp16-2-eps1_5"),
 ])
-def test_default_hitmiss_round_is_one_leaf_and_draws_no_family(monkeypatch, g, f):
-    import vertexcuts.oracle as vo
-
-    def no_family(*_args, **_kwargs):
-        raise AssertionError("a trivial round drew a family")
-    monkeypatch.setattr(vo, "build_hit_miss_family", no_family)
-    o = build_oracle(g, f, OracleMode.HITMISS)
+def test_default_hitmiss_round_is_one_leaf_and_draws_no_family(g, f, params):
+    o = build_oracle(g, f, OracleMode.HITMISS, params)
     assert_one_leaf_over_the_work_graph(o)
+    assert o.rounds[0].eps == (params or TreeParams()).eps_for(o.work.n)
     loaded = oracle_from_bytes(oracle_to_bytes(o))
     assert_one_leaf_over_the_work_graph(loaded)
     for fs in subsets_upto(g.n, f):
         assert o.query(fs) == loaded.query(fs) == is_cut_bruteforce(g, fs), fs
-
-
-def test_hitmiss_round_above_the_threshold_draws_checks_and_uses_the_family(
-        monkeypatch):
-    drawn, checked = spy_on_family(monkeypatch)
-    g = gen_connected_gnp(14, 0.35, 71)
-    o = build_oracle(g, 2, OracleMode.HITMISS,
-                     params=TreeParams(eps_override=Fraction(1, 2)))
-    rnd = o.rounds[0]
-    assert isinstance(rnd, HitMissRound) and rnd.family is drawn[0] and checked
-    assert rnd.family.verified == "exhaustive"
-    assert max(len(s) for s in rnd.family.subsets) > 6  # above (f+1)/eps
-    assert len(rnd.detectors) == rnd.family.k == o.round_info[0].family_k
-    loaded = oracle_from_bytes(oracle_to_bytes(o))
-    assert isinstance(loaded.rounds[0], HitMissRound)
-    for fs in subsets_upto(14, 2):
-        assert o.query(fs) == loaded.query(fs) == is_cut_bruteforce(g, fs), fs
-
-
-def test_hitmiss_round_with_only_short_subsets_is_one_leaf(monkeypatch):
-    # eps = 1/5: |T| = 16 is above the threshold 15, no subset is
-    drawn, checked = spy_on_family(monkeypatch)
-    g = gen_connected_gnp(16, 0.4, 33)
-    o = build_oracle(g, 2, OracleMode.HITMISS,
-                     params=TreeParams(eps_override=Fraction(1, 5)))
-    assert len(drawn) == 1 and checked
-    assert max(len(s) for s in drawn[0].subsets) <= 15
-    assert_one_leaf_over_the_work_graph(o)
-    for fs in subsets_upto(16, 2):
-        assert o.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
 def test_tiny_graphs():
