@@ -195,14 +195,26 @@ def test_fuzz_rechecksummed_byte_edits(mode, data):
     loads_or_raises_library_error(rechecksummed(bytes(blob)))
 
 
-def test_older_container_versions_are_rejected():
-    # version 2 changed the hit-miss round record, version 3 stored a trivial
-    # hit-miss round as a detector record, version 4 has no hit-miss record
+def assert_version_is_rejected(version):
     manifest, payload = container_parts(FUZZ[OracleMode.HITMISS])
-    for version in (1, 2, 3):
-        with pytest.raises(InvalidParams,
-                           match=f"unsupported container version {version}"):
-            oracle_from_bytes(container(manifest, payload, version=version))
+    with pytest.raises(InvalidParams,
+                       match=f"unsupported container version {version}"):
+        oracle_from_bytes(container(manifest, payload, version=version))
+
+
+def test_version_1_container_is_rejected():
+    assert_version_is_rejected(1)
+
+
+def test_version_2_container_is_rejected():
+    # version 2 stored a trivial hit-miss round as its family alone
+    assert_version_is_rejected(2)
+
+
+def test_version_3_container_is_rejected():
+    # version 3 stored a trivial hit-miss round as a detector record but still
+    # read the hit-miss round record, which version 4 drops
+    assert_version_is_rejected(3)
 
 
 def test_unknown_round_type_is_rejected():

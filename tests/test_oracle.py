@@ -203,6 +203,21 @@ def test_default_hitmiss_round_is_one_leaf_and_draws_no_family(g, f, params):
         assert o.query(fs) == loaded.query(fs) == is_cut_bruteforce(g, fs), fs
 
 
+def test_hitmiss_never_queries_hit_subsets(monkeypatch):
+    # with no subset family a query asks the round's one detector, once
+    g = gen_connected_gnp(14, 0.35, 71)
+    o = build_oracle(g, 2, OracleMode.HITMISS,
+                     params=TreeParams(eps_override=Fraction(1, 2)))
+    asked = []
+    real_query = TerminalCutDetector.query
+    monkeypatch.setattr(TerminalCutDetector, "query",
+                        lambda det, fs: asked.append(det) or real_query(det, fs))
+    for fs in subsets_upto(14, 2):
+        asked.clear()
+        assert o.query(fs) == is_cut_bruteforce(g, fs), fs
+        assert len(asked) == 1 and asked[0] is o.rounds[0], fs
+
+
 def test_tiny_graphs():
     g1 = Graph(1, [])
     o = build_oracle(g1, 1)
