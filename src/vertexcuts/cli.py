@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, build, query, labels, decompose, bench, validate. Graphs
-travel as edge-list text files; oracles as the versioned binary container;
-reports as JSON.
+Subcommands: gen, build, query, labels, decompose, validate. Graphs travel
+as edge-list text files; oracles as the versioned binary container; reports
+as JSON. Timing lives in the benchmark, perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import generators
-from .bench import run_bench
 from .decomposition import TreeParams, export_ted
 from .errors import VertexCutsError
 from .graph import Graph
@@ -24,15 +23,9 @@ from .oracle import OracleMode, build_oracle
 from .validate import check_oracle, full_validation
 
 
-def _read_graph(path: str, fmt: str) -> Graph:
-    if fmt != "edgelist":
-        raise VertexCutsError(f"unsupported format {fmt!r}")
+def _read_graph(path: str) -> Graph:
     with open(path) as fh:
         return parse_edgelist(fh.read())
-
-
-def _mode(name: str) -> OracleMode:
-    return OracleMode(name)
 
 
 def _emit(obj, out: str | None) -> None:
@@ -87,8 +80,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
-    g = _read_graph(args.input, args.format)
-    oracle = build_oracle(g, args.f, _mode(args.mode),
+    g = _read_graph(args.input)
+    oracle = build_oracle(g, args.f, OracleMode(args.mode),
                           attest_f_connected=args.attest_f_connected)
     if args.out:
         nbytes = save_oracle(oracle, args.out)
@@ -121,7 +114,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_labels(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     scheme = build_labels(g, args.f)
     if args.query is not None:
         fs = parse_query_arg(args.query)
@@ -135,7 +128,7 @@ def cmd_labels(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     ted = export_ted(g, args.f, TreeParams(seed=args.seed))
     if not args.out:
         print("decompose requires --out DIRECTORY", file=sys.stderr)
@@ -146,24 +139,16 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    g = _read_graph(args.input, args.format)
-    report = run_bench(g, args.f, _mode(args.mode), n_queries=args.queries,
-                       seed=args.seed)
-    _emit(report, args.out)
-    return 0 if report["agreement_rate"] == 1.0 else 1
-
-
 def cmd_validate(args) -> int:
     if args.oracle:
         oracle = load_oracle(args.oracle)  # checksum + format checks
         rep = check_oracle(oracle, seed=args.seed)
         print(rep.summary())
         return 0 if rep.ok else 1
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     modes = None
     if args.mode != "all":
-        modes = [_mode(args.mode)]
+        modes = [OracleMode(args.mode)]
     rep = full_validation(g, args.f, modes, seed=args.seed)
     print(rep.summary())
     return 0 if rep.ok else 1
@@ -174,11 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="vertex cut oracles, labels, and decompositions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph_input=True):
-        if graph_input:
-            sp.add_argument("--input", required=True, help="edge-list graph file")
-        sp.add_argument("--format", default="edgelist", choices=["edgelist"])
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp):
+        sp.add_argument("--input", required=True, help="edge-list graph file")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("gen", help="generate a graph")
@@ -216,20 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="export the terminal-expander decomposition")
     common(sp)
     sp.add_argument("--f", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("bench", help="benchmark build + queries")
-    common(sp)
-    sp.add_argument("--f", type=int, required=True)
-    sp.add_argument("--mode", default="general",
-                    choices=["general", "fconnected", "hitmiss"])
-    sp.add_argument("--queries", type=int, default=500)
-    sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("validate", help="run the equivalence and lemma suites")
     sp.add_argument("--input", default=None, help="edge-list graph file")
     sp.add_argument("--oracle", default=None, help="saved oracle container to check")
-    sp.add_argument("--format", default="edgelist", choices=["edgelist"])
     sp.add_argument("--f", type=int, default=2)
     sp.add_argument("--mode", default="all",
                     choices=["all", "general", "fconnected", "hitmiss"])

@@ -28,6 +28,23 @@ from .graph import (Graph, _reconstruct, _separators_within, _subset_sum_states,
                     min_st_separator, separates_terminals)
 from .reporting import ValidationReport
 
+# eps = 1/(EPS_C*log2|T|), the paper's choice with c = 4.
+EPS_C = 4.0
+# The sparse-cut finder enumerates every separator of size <= eps*|T| while
+# there are at most ENUM_BUDGET of them, and otherwise takes the minimum
+# separators of PAIR_SAMPLES sampled terminal pairs.
+ENUM_BUDGET = 150_000
+PAIR_SAMPLES = 8
+# Separator checks allowed when certifying a larger expansion than 1/|T|.
+CERTIFY_BUDGET = 30_000
+# validate_lr_tree rechecks expander leaves of at most this many vertices.
+EXPANDER_RECHECK_CAP = 24
+# Size bounds of validate_lr_tree and validate_ted: the sums of node sizes
+# against n times the depth (or polylog n), and the TED cut checks allowed.
+LR_SIZE_MULTIPLIER = 6
+TED_SIZE_MULTIPLIER = 8
+TED_CHECK_BUDGET = 400_000
+
 
 @dataclass(frozen=True)
 class VertexCutPartition:
@@ -166,7 +183,7 @@ def _try_balanced(g: Graph, sep: tuple[int, ...], ts: frozenset[int],
     return cut
 
 
-def _certify_expansion(g: Graph, ts: frozenset[int], improve_budget: int) -> tuple[Fraction, str]:
+def _certify_expansion(g: Graph, ts: frozenset[int]) -> tuple[Fraction, str]:
     """Largest phi we can afford to certify for (g, ts).
 
     Falls back to the always-true connectivity bound phi = 1/|T| (every
@@ -176,7 +193,7 @@ def _certify_expansion(g: Graph, ts: frozenset[int], improve_budget: int) -> tup
         if phi <= Fraction(1, t):
             break
         try:
-            if is_terminal_expander(g, ts, phi, size_cap=g.n, work_budget=improve_budget):
+            if is_terminal_expander(g, ts, phi, size_cap=g.n, work_budget=CERTIFY_BUDGET):
                 return phi, "enumeration"
             # Not an expander at this phi; try a weaker one.
         except SizeCapExceeded:
@@ -185,9 +202,6 @@ def _certify_expansion(g: Graph, ts: frozenset[int], improve_budget: int) -> tup
 
 
 def find_balanced_or_expander(g: Graph, t_set: Iterable[int], eps, f: int,
-                              enum_budget: int = 150_000,
-                              improve_budget: int = 30_000,
-                              pair_samples: int = 8,
                               seed: int = 0) -> SparseCutResult:
     """Reference sparse-cut finder honoring the balanced-or-expander contract.
 
@@ -207,7 +221,7 @@ def find_balanced_or_expander(g: Graph, t_set: Iterable[int], eps, f: int,
     bound = eps * t_all
     s_max = min(int(bound), g.n - 2)
     if s_max >= 1:
-        if _separators_within(g.n, s_max, enum_budget):
+        if _separators_within(g.n, s_max, ENUM_BUDGET):
             for size in range(1, s_max + 1):
                 for sep in combinations(range(g.n), size):
                     cut = _try_balanced(g, sep, ts, eps, t_all, f)
@@ -218,7 +232,7 @@ def find_balanced_or_expander(g: Graph, t_set: Iterable[int], eps, f: int,
             tlist = sorted(ts)
             pairs = []
             if len(tlist) >= 2:
-                for _ in range(pair_samples):
+                for _ in range(PAIR_SAMPLES):
                     s, t = rng.sample(tlist, 2)
                     pairs.append((s, t))
             seen: set[tuple[int, ...]] = set()
@@ -232,7 +246,7 @@ def find_balanced_or_expander(g: Graph, t_set: Iterable[int], eps, f: int,
                 cut = _try_balanced(g, tuple(sep), ts, eps, t_all, f)
                 if cut is not None:
                     return SparseCutResult(cut, CutCase.BALANCED)
-    phi, how = _certify_expansion(g, ts, improve_budget)
+    phi, how = _certify_expansion(g, ts)
     cut = VertexCutPartition(frozenset(), frozenset(), frozenset(range(g.n)))
     return SparseCutResult(cut, CutCase.EXPANDER, phi, how)
 
@@ -247,24 +261,20 @@ class NodeKind(enum.Enum):
 
 @dataclass
 class TreeParams:
-    """Knobs for the LR-tree construction.
+    """The two settable inputs of the LR-tree construction.
 
-    eps defaults to 1/(c*log2|T|); eps_override replaces it (testing knob to
-    force deep recursion on small graphs). The leaf threshold is (f+1)/eps.
+    eps is 1/(EPS_C*log2|T|); eps_override replaces it (tests use it to force
+    deep recursion on small graphs). The leaf threshold is (f+1)/eps. seed
+    draws the terminal pairs of the sparse-cut finder.
     """
 
-    c: float = 4.0
     eps_override: Optional[Fraction] = None
-    enum_budget: int = 150_000
-    improve_budget: int = 30_000
-    pair_samples: int = 8
     seed: int = 0
-    max_depth: Optional[int] = None
 
     def eps_for(self, t_count: int) -> Fraction:
         if self.eps_override is not None:
             return Fraction(self.eps_override)
-        denom = self.c * max(1.0, math.log2(max(2, t_count)))
+        denom = EPS_C * max(1.0, math.log2(max(2, t_count)))
         return Fraction(1) / Fraction(denom)
 
 
@@ -305,7 +315,6 @@ class LRTree:
     f: int
     eps: Fraction
     leaf_threshold: Fraction
-    params: TreeParams
     depth: int            # counted in levels; a single-node tree has depth 1
     sum_vertices: int
     sum_edges: int
@@ -323,6 +332,8 @@ def build_lr_tree(g: Graph, t_set: Iterable[int], f: int,
     sparse-cut finder splits the node: balanced cuts recurse on both sides;
     expander cuts recurse on the left only, with the right child and a
     stepchild (representatives-only terminal set) as permanent leaves.
+    Recursion deeper than max(32, n + 4) levels raises. The split graphs that
+    the finder's flows cache on node graphs are dropped before returning.
     """
     params = params or TreeParams()
     ts_root = frozenset(t_set)
@@ -331,9 +342,7 @@ def build_lr_tree(g: Graph, t_set: Iterable[int], f: int,
         raise DisconnectedInput("LR tree requires a connected graph")
     eps = params.eps_for(len(ts_root))
     threshold = Fraction(f + 1) / eps
-    max_depth = params.max_depth
-    if max_depth is None:
-        max_depth = max(32, g.n + 4)
+    max_depth = max(32, g.n + 4)
     nodes: list[LRNode] = []
     s_star: set[int] = set()
 
@@ -352,10 +361,7 @@ def build_lr_tree(g: Graph, t_set: Iterable[int], f: int,
             nodes.append(node)
             return node
         local_terms = frozenset(graph.root_to_local[r] for r in terms_root)
-        res = find_balanced_or_expander(
-            graph, local_terms, eps, f,
-            enum_budget=params.enum_budget, improve_budget=params.improve_budget,
-            pair_samples=params.pair_samples, seed=params.seed)
+        res = find_balanced_or_expander(graph, local_terms, eps, f, seed=params.seed)
         pair = build_left_right(graph, local_terms, res.cut, f)
         cut_root = VertexCutPartition(_root_set(graph, res.cut.left),
                                       _root_set(graph, res.cut.sep),
@@ -385,16 +391,16 @@ def build_lr_tree(g: Graph, t_set: Iterable[int], f: int,
         return node
 
     root = grow(g, ts_root, 0)
+    for node in nodes:
+        node.graph._split = None
     depth_levels = max(n.depth for n in nodes) + 1
     return LRTree(root=root, nodes=nodes, s_star=frozenset(s_star), f=f, eps=eps,
-                  leaf_threshold=threshold, params=params, depth=depth_levels,
+                  leaf_threshold=threshold, depth=depth_levels,
                   sum_vertices=sum(n.graph.n for n in nodes),
                   sum_edges=sum(n.graph.m for n in nodes))
 
 
-def validate_lr_tree(tree: LRTree, g: Graph, t_set: Iterable[int],
-                     size_multiplier: int = 6,
-                     expander_recheck_cap: int = 24) -> ValidationReport:
+def validate_lr_tree(tree: LRTree, g: Graph, t_set: Iterable[int]) -> ValidationReport:
     """Check the structural tree properties: leaf shapes, depth, terminal
     reduction, size accounting, per-split shrink and counting inequalities."""
     ts = frozenset(t_set)
@@ -412,12 +418,12 @@ def validate_lr_tree(tree: LRTree, g: Graph, t_set: Iterable[int],
         if node.kind is NodeKind.LEAF_EXPANDER:
             if node.phi is None:
                 bad.append("expander leaf without recorded phi")
-            elif node.graph.n <= expander_recheck_cap:
+            elif node.graph.n <= EXPANDER_RECHECK_CAP:
                 local_t = frozenset(node.graph.root_to_local[r] for r in node.terminals
                                     if r in node.graph.root_to_local)
                 try:
                     if local_t and not is_terminal_expander(node.graph, local_t, node.phi,
-                                                            size_cap=expander_recheck_cap):
+                                                            size_cap=EXPANDER_RECHECK_CAP):
                         bad.append(f"expander leaf fails recheck at phi={node.phi}")
                 except SizeCapExceeded:
                     pass
@@ -425,7 +431,7 @@ def validate_lr_tree(tree: LRTree, g: Graph, t_set: Iterable[int],
             bad.append("internal node at or below the leaf threshold")
     rep.add("leaves-expander-or-small", not bad, "; ".join(bad[:4]))
 
-    depth_bound = max(1.0, tree.params.c * math.log2(max(2, len(ts))))
+    depth_bound = max(1.0, EPS_C * math.log2(max(2, len(ts))))
     rep.add("log-depth", tree.depth <= math.ceil(depth_bound) + 1,
             f"depth {tree.depth} vs bound {math.ceil(depth_bound) + 1}")
 
@@ -438,15 +444,16 @@ def validate_lr_tree(tree: LRTree, g: Graph, t_set: Iterable[int],
     rep.add("terminal-reduction", 2 * len(tree.s_star) <= len(ts),
             f"|S*|={len(tree.s_star)} |T|={len(ts)}")
 
-    rep.add("sum-vertices", tree.sum_vertices <= size_multiplier * g.n * tree.depth,
-            f"{tree.sum_vertices} vs {size_multiplier * g.n * tree.depth}")
+    rep.add("sum-vertices", tree.sum_vertices <= LR_SIZE_MULTIPLIER * g.n * tree.depth,
+            f"{tree.sum_vertices} vs {LR_SIZE_MULTIPLIER * g.n * tree.depth}")
     alpha0 = max(f + 1, math.ceil(g.m / max(1, g.n - 1)))
     edge_bound_ok = all(
         node.graph.m <= (alpha0 + node.depth * (f + 1)) * max(1, node.graph.n)
         for node in tree.nodes)
     rep.add("per-node-arboricity-proxy", edge_bound_ok)
     rep.add("sum-edges",
-            tree.sum_edges <= size_multiplier * (alpha0 + (f + 1) * tree.depth) * g.n * tree.depth,
+            tree.sum_edges
+            <= LR_SIZE_MULTIPLIER * (alpha0 + (f + 1) * tree.depth) * g.n * tree.depth,
             f"{tree.sum_edges}")
 
     shrink_bad = []
@@ -523,9 +530,7 @@ def export_ted(g: Graph, f: int, params: TreeParams | None = None) -> TedCollect
                          round_index)
 
 
-def validate_ted(ted: TedCollection, g: Graph, f: int,
-                 enum_budget: int = 400_000,
-                 size_multiplier: int = 8) -> ValidationReport:
+def validate_ted(ted: TedCollection, g: Graph, f: int) -> ValidationReport:
     """Check the four decomposition properties by enumeration: per-entry leaf
     shape, soundness of small cuts, completeness over all cuts of g with
     |F| <= f, and total-size lightness."""
@@ -538,9 +543,10 @@ def validate_ted(ted: TedCollection, g: Graph, f: int,
             if e.phi is None:
                 kind_bad.append("expander entry without phi")
             else:
+                cap = max(EXPANDER_RECHECK_CAP, g.n)
                 try:
                     if local_t and not is_terminal_expander(e.graph, local_t, e.phi,
-                                                            size_cap=max(24, g.n)):
+                                                            size_cap=cap):
                         kind_bad.append("expander entry fails recheck")
                 except SizeCapExceeded:
                     pass
@@ -550,8 +556,9 @@ def validate_ted(ted: TedCollection, g: Graph, f: int,
 
     work = sum(sum(comb(e.graph.n, k) for k in range(f + 1)) for e in ted.entries)
     work += sum(comb(g.n, k) for k in range(f + 1))
-    if work > enum_budget:
-        raise SizeCapExceeded(f"TED validation needs {work} cut checks")
+    if work > TED_CHECK_BUDGET:
+        raise SizeCapExceeded(
+            f"TED validation needs {work} cut checks, over the cap of {TED_CHECK_BUDGET}")
 
     sound_bad = []
     for e in ted.entries:
@@ -584,8 +591,8 @@ def validate_ted(ted: TedCollection, g: Graph, f: int,
     polylog = (math.ceil(math.log2(max(2, g.n))) + 1)
     sum_v = sum(e.graph.n for e in ted.entries)
     sum_e = sum(e.graph.m for e in ted.entries)
-    rep.add("lightness-vertices", sum_v <= size_multiplier * g.n * polylog ** 2,
-            f"{sum_v} vs {size_multiplier * g.n * polylog ** 2}")
-    rep.add("lightness-edges", sum_e <= size_multiplier * (f + 1) * g.n * polylog ** 3,
+    rep.add("lightness-vertices", sum_v <= TED_SIZE_MULTIPLIER * g.n * polylog ** 2,
+            f"{sum_v} vs {TED_SIZE_MULTIPLIER * g.n * polylog ** 2}")
+    rep.add("lightness-edges", sum_e <= TED_SIZE_MULTIPLIER * (f + 1) * g.n * polylog ** 3,
             f"{sum_e}")
     return rep

@@ -226,8 +226,8 @@ class USDetector:
 
 
 def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
-             f_connected: bool = False, max_u: int | None = None) -> USDetector:
-    """US detector over g with its 2^|U| tables, |U| <= max_u (2f+2).
+             f_connected: bool = False) -> USDetector:
+    """US detector over g with its 2^|U| tables, |U| <= 2f+2.
 
     One DFS labels the components c of G0 = G-(S∪U) and collects each
     boundary B(c) ⊆ S∪U. The row of W puts L = U-(S∪W) back: the
@@ -242,7 +242,7 @@ def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
     ss = frozenset(s_set)
     g.check_vertices(us)
     g.check_vertices(ss)
-    cap = max_u if max_u is not None else 2 * f + 2
+    cap = 2 * f + 2
     if len(us) > cap:
         raise BudgetExceeded(f"|U|={len(us)} exceeds the 2^|U| table budget (cap {cap})")
     removed = ss | us

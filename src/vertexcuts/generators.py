@@ -13,7 +13,10 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import CertificationFailed, InvalidParams
-from .graph import Graph, is_f_connected
+from .graph import FCONN_CHECK_CAP, Graph, is_f_connected
+
+# Draws gen_connected_gnp makes before it gives up.
+CONNECT_TRIES = 64
 
 
 def gen_random(n: int, p: float, seed: int) -> Graph:
@@ -34,21 +37,21 @@ def gen_random_gnm(n: int, m: int, seed: int) -> Graph:
     return Graph(n, rng.sample(all_edges, m))
 
 
-def gen_connected_gnp(n: int, p: float, seed: int, tries: int = 64) -> Graph:
-    """G(n, p) resampled (seed incremented) until connected."""
-    for i in range(tries):
+def gen_connected_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) resampled (seed incremented) until connected, at most
+    CONNECT_TRIES times."""
+    for i in range(CONNECT_TRIES):
         g = gen_random(n, p, seed + 7919 * i)
         if g.is_connected():
             return g
-    raise CertificationFailed(f"no connected G({n},{p}) after {tries} tries")
+    raise CertificationFailed(f"no connected G({n},{p}) after {CONNECT_TRIES} tries")
 
 
-def gen_f_connected(n: int, f: int, seed: int, extra_p: float = 0.1,
-                    verify_cap: int = 64) -> Graph:
+def gen_f_connected(n: int, f: int, seed: int, extra_p: float = 0.1) -> Graph:
     """f-connected graph: circulant base (each i joined to i±1..i±ceil(f/2),
     vertex connectivity 2*ceil(f/2) >= f by the Harary construction) plus
     seeded extra edges, which only increase connectivity. Verified exactly up
-    to verify_cap vertices."""
+    to FCONN_CHECK_CAP vertices."""
     if f < 1:
         raise InvalidParams(f"f must be >= 1, got {f}")
     k = (f + 1) // 2
@@ -62,7 +65,7 @@ def gen_f_connected(n: int, f: int, seed: int, extra_p: float = 0.1,
             if (i, j) not in edges and rng.random() < extra_p:
                 edges.add((i, j))
     g = Graph(n, edges)
-    if n <= verify_cap and not is_f_connected(g, f):
+    if n <= FCONN_CHECK_CAP and not is_f_connected(g, f):
         raise CertificationFailed(f"generated graph is not {f}-connected")
     return g
 

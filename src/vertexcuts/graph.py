@@ -425,6 +425,12 @@ def min_st_separator(g: Graph, s: int, t: int, cap: int) -> list[int] | None:
             flow += 1
 
 
+# Largest graph whose f-connectivity the library checks exactly where a
+# precondition or a generator needs it: build_oracle's f-connected mode,
+# gen_f_connected and full_validation.
+FCONN_CHECK_CAP = 64
+
+
 def is_f_connected(g: Graph, f: int) -> bool:
     """True iff g has no vertex cut of size < f.
 

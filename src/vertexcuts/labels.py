@@ -22,6 +22,12 @@ from .errors import (DisconnectedInput, FTooLarge, MissingExplicitLabel,
 from .graph import Graph, component_labels, is_cut_bruteforce, is_f_connected, sparsify
 from .reporting import ValidationReport
 
+# label_length_report normalizes the longest label by n^(1-1/f)*log^4 n and
+# the total by n*log^4 n.
+LOG_EXPONENT = 4
+# check_fconnected_warmup enumerates all f-sets of graphs up to this size.
+WARMUP_SIZE_CAP = 16
+
 
 class BitWriter:
     """Accumulates a bitstring; used for the canonical label layout so
@@ -297,8 +303,7 @@ def query_labels_scheme(scheme: LabelingScheme, f_set: Iterable[int]) -> bool:
                         scheme.provider)
 
 
-def label_length_report(scheme: LabelingScheme, max_exponent: int = 4,
-                        total_exponent: int = 4) -> dict:
+def label_length_report(scheme: LabelingScheme) -> dict:
     """Measured per-vertex bit lengths with the normalized ratios used by the
     scaling checks."""
     n, f = scheme.n, scheme.f
@@ -314,20 +319,20 @@ def label_length_report(scheme: LabelingScheme, max_exponent: int = 4,
         "max_bits": max_bits,
         "total_bits": total_bits,
         "explicit_labels": sum(len(lab.explicit) for lab in scheme.labels.values()),
-        "max_ratio": max_bits / (n ** (1.0 - 1.0 / f) * log_n ** max_exponent),
-        "total_ratio": total_bits / (n * log_n ** total_exponent),
+        "max_ratio": max_bits / (n ** (1.0 - 1.0 / f) * log_n ** LOG_EXPONENT),
+        "total_ratio": total_bits / (n * log_n ** LOG_EXPONENT),
         "high_count": len(scheme.high),
     }
 
 
-def check_fconnected_warmup(g: Graph, f: int, size_cap: int = 16) -> ValidationReport:
+def check_fconnected_warmup(g: Graph, f: int) -> ValidationReport:
     """On an f-connected graph, every minimum cut F (|F| = f) gives each of
     its vertices two neighbors in distinct components of g - F. Verified by
     enumeration."""
     if not is_f_connected(g, f):
         raise NotFConnected(f"warm-up check requires an {f}-connected graph")
-    if g.n > size_cap:
-        raise SizeCapExceeded(f"n={g.n} exceeds cap {size_cap}")
+    if g.n > WARMUP_SIZE_CAP:
+        raise SizeCapExceeded(f"n={g.n} exceeds cap {WARMUP_SIZE_CAP}")
     rep = ValidationReport()
     cuts = 0
     bad: list[str] = []

@@ -31,10 +31,14 @@ from typing import Iterable, Optional
 from .connectivity import FailureConnectivityOracle, build_conn_oracle
 from .detectors import (DetectorAnswer, FewTDetector, TEDetector, USDetector,
                         build_fewt, build_te, build_us)
-from .decomposition import (LRNode, LRTree, NodeKind, TreeParams, build_lr_tree)
+from .decomposition import LRNode, NodeKind, TreeParams, build_lr_tree
 from .errors import (ContractUnsatisfiable, DisconnectedInput, InvalidParams,
                      NotFConnected, TooManyFailures, WrongQuerySize)
-from .graph import Graph, is_f_connected, sparsify as sparsify_graph
+from .graph import FCONN_CHECK_CAP, Graph, is_f_connected, sparsify as sparsify_graph
+
+
+# A tree search visits at most VISIT_SLACK * depth * 2^|F| nodes.
+VISIT_SLACK = 8
 
 
 class OracleMode(enum.Enum):
@@ -61,8 +65,8 @@ class QueryStats:
         return all(cnt <= 2 ** (self.query_size - x)
                    for x, cnt in self.branch_by_residual.items())
 
-    def visit_bound_ok(self, slack: int = 8) -> bool:
-        bound = slack * max(1, self.tree_depth) * 2 ** self.query_size
+    def visit_bound_ok(self) -> bool:
+        bound = VISIT_SLACK * max(1, self.tree_depth) * 2 ** self.query_size
         return self.nodes_visited <= bound
 
 
@@ -184,7 +188,6 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
 def build_detector(g: Graph, t_set: Iterable[int], f: int,
                    params: TreeParams | None = None,
                    fconnected: bool = False, debug: bool = False,
-                   tree: LRTree | None = None,
                    pool: dict[Graph, FailureConnectivityOracle] | None = None
                    ) -> TerminalCutDetector:
     """Build the LR tree for (g, t_set) and augment it into a cut detector.
@@ -195,8 +198,7 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
     detector on the node's own graph. Leaves share connectivity oracles
     through ``pool``, which a caller may pass to share them across detectors.
     """
-    if tree is None:
-        tree = build_lr_tree(g, t_set, f, params)
+    tree = build_lr_tree(g, t_set, f, params)
     if pool is None:
         pool = {}
     root = _augment(tree.root, f, tree.leaf_threshold, fconnected, debug, pool)
@@ -391,14 +393,15 @@ def _round_guard(i: int, n: int) -> None:
 
 
 def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
-                 params: TreeParams | None = None, *, use_sparsify: bool = True,
-                 attest_f_connected: bool = False, debug: bool = False,
-                 fconn_check_cap: int = 64) -> VertexCutOracle:
+                 params: TreeParams | None = None, *,
+                 attest_f_connected: bool = False) -> VertexCutOracle:
     """Preprocess g into an f-vertex cut oracle.
 
-    The working graph is the sparse certificate of g unless disabled; every
-    round builds a detector for the current terminal set and replaces it with
-    the union of separators, which must at least halve.
+    The working graph is the sparse certificate of g; every round builds a
+    detector for the current terminal set and replaces it with the union of
+    separators, which must at least halve. The f-connected mode checks its
+    precondition exactly up to FCONN_CHECK_CAP vertices; above that the
+    caller must attest it.
     """
     if f < 1:
         raise TooManyFailures(f"oracle requires f >= 1, got {f}")
@@ -406,10 +409,10 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
     if not g.is_connected():
         raise DisconnectedInput("oracle requires a connected graph")
     params = params or TreeParams()
-    work = sparsify_graph(g, f) if use_sparsify else g
+    work = sparsify_graph(g, f)
     fconn_flag = ""
     if mode is OracleMode.FCONNECTED:
-        if g.n <= fconn_check_cap:
+        if g.n <= FCONN_CHECK_CAP:
             if not is_f_connected(g, f):
                 raise NotFConnected(f"graph is not {f}-connected")
             fconn_flag = "verified"
@@ -417,7 +420,8 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
             fconn_flag = "attested-unverified"
         else:
             raise NotFConnected(
-                f"n={g.n} exceeds the exact-check cap; pass attest_f_connected=True")
+                f"n={g.n} exceeds the exact-check cap of {FCONN_CHECK_CAP} vertices; "
+                "pass attest_f_connected=True")
 
     rounds: list[TerminalCutDetector] = []
     info: list[RoundInfo] = []
@@ -427,11 +431,10 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
     while terms:
         _round_guard(i, work.n)
         if mode is OracleMode.HITMISS:
-            det = _build_hitmiss_round(work, terms, f, params, debug, pool)
+            det = _build_hitmiss_round(work, terms, f, params, pool)
         else:
             det = build_detector(work, terms, f, params,
-                                 fconnected=(mode is OracleMode.FCONNECTED),
-                                 debug=debug, pool=pool)
+                                 fconnected=(mode is OracleMode.FCONNECTED), pool=pool)
         s_star = det.s_star
         info.append(RoundInfo(len(terms), len(s_star), det.depth,
                               det.sum_vertices, det.sum_edges))
@@ -448,7 +451,7 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
         "m": g.m,
         "f": f,
         "mode": mode.value,
-        "sparsified": bool(use_sparsify),
+        "sparsified": True,
         "work_edges": work.m,
         "f_connected_verification": fconn_flag,
         "rounds": [r.manifest_entry() for r in info],
@@ -457,14 +460,13 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
 
 
 def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
-                         params: TreeParams, debug: bool,
+                         params: TreeParams,
                          pool: dict[Graph, FailureConnectivityOracle]
                          ) -> TerminalCutDetector:
     """A hit-miss round over the terminals ``terms``: one few-terminals leaf
     over the work graph with S* empty, which answers "cut" iff T - F meets
     two components of work - F (see the module docstring)."""
     leaf = DetectorNode(NodeKind.LEAF_FEWT, work.root_vertex_set(), terms,
-                        leaf=build_fewt(work, terms, f, conn=_conn_for(work, f, pool)),
-                        debug_graph=work if debug else None)
+                        leaf=build_fewt(work, terms, f, conn=_conn_for(work, f, pool)))
     return TerminalCutDetector(leaf, frozenset(), f, terms, 1, False,
                                params.eps_for(len(terms)), work.n, work.m)

@@ -16,19 +16,33 @@ from typing import Iterable, Iterator
 from .decomposition import VertexCutPartition, build_left_right
 from .detectors import Trichotomy, us_trichotomy
 from .errors import NotFConnected, SizeCapExceeded
-from .graph import (Graph, component_labels, is_cut_bruteforce, is_f_connected,
-                    separates_terminals)
+from .graph import (FCONN_CHECK_CAP, Graph, component_labels, is_cut_bruteforce,
+                    is_f_connected, separates_terminals)
 from .labels import build_labels, check_fconnected_warmup, query_labels_scheme
-from .oracle import (OracleMode, QueryStats, TreeParams, VertexCutOracle,
-                     build_oracle)
+from .oracle import OracleMode, QueryStats, VertexCutOracle, build_oracle
 from .reporting import ValidationReport
 
+# The query sample of an equivalence check: every F with |F| <= f when there
+# are at most EXHAUSTIVE_CAP of them, else this many seeded random ones.
+EXHAUSTIVE_CAP = 20_000
+ORACLE_RANDOM_QUERIES = 2_000
+LABEL_RANDOM_QUERIES = 1_000
+# The lemma suite enumerates cuts with separators of at most LEMMA_MAX_SEP
+# vertices, stops after LEMMA_CUT_BUDGET T-cuts and raises past
+# LEMMA_QUERY_BUDGET (cut, F) checks; the enumeration itself raises past
+# CUT_ENUM_BUDGET cuts.
+LEMMA_MAX_SEP = 3
+LEMMA_CUT_BUDGET = 4_000
+LEMMA_QUERY_BUDGET = 400_000
+CUT_ENUM_BUDGET = 500_000
+# The trichotomy check tries every S of at most this many vertices.
+TRICHOTOMY_MAX_SEP = 2
 
-def enumerate_vertex_cuts(g: Graph, max_sep: int | None = None,
-                          budget: int = 500_000) -> Iterator[VertexCutPartition]:
-    """All vertex cuts (L,S,R) of g, both orientations, grouped from each
-    disconnecting separator's components."""
-    cap = g.n - 2 if max_sep is None else min(max_sep, g.n - 2)
+
+def enumerate_vertex_cuts(g: Graph) -> Iterator[VertexCutPartition]:
+    """All vertex cuts (L,S,R) of g with |S| <= LEMMA_MAX_SEP, both
+    orientations, grouped from each disconnecting separator's components."""
+    cap = min(LEMMA_MAX_SEP, g.n - 2)
     produced = 0
     for size in range(0, cap + 1):
         for sep in combinations(range(g.n), size):
@@ -46,8 +60,9 @@ def enumerate_vertex_cuts(g: Graph, max_sep: int | None = None,
                 right = frozenset(v for c in range(ncomp) if not pick & (1 << c)
                                   for v in comps[c])
                 produced += 1
-                if produced > budget:
-                    raise SizeCapExceeded("cut enumeration exceeded budget")
+                if produced > CUT_ENUM_BUDGET:
+                    raise SizeCapExceeded(
+                        f"cut enumeration exceeded its cap of {CUT_ENUM_BUDGET} cuts")
                 yield VertexCutPartition(left, frozenset(sep), right)
 
 
@@ -57,44 +72,37 @@ def _subsets_upto(universe: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
         yield from combinations(uni, size)
 
 
-def _queries(n: int, f: int, exhaustive_cap: int, n_random: int,
-             seed: int) -> tuple[list[frozenset[int]], str]:
-    """Every F with |F| <= f when there are at most exhaustive_cap of them,
+def _queries(n: int, f: int, n_random: int, seed: int) -> tuple[list[frozenset[int]], str]:
+    """Every F with |F| <= f when there are at most EXHAUSTIVE_CAP of them,
     else n_random seeded random ones; with "exhaustive" or "random"."""
-    if sum(comb(n, k) for k in range(f + 1)) <= exhaustive_cap:
+    if sum(comb(n, k) for k in range(f + 1)) <= EXHAUSTIVE_CAP:
         return [frozenset(fs) for fs in _subsets_upto(range(n), f)], "exhaustive"
     rng = random.Random(seed)
     return [frozenset(rng.sample(range(n), rng.randint(0, f)))
             for _ in range(n_random)], "random"
 
 
-def check_query_stats(stats: QueryStats, slack: int = 8) -> bool:
-    return stats.branch_law_ok() and stats.visit_bound_ok(slack)
+def check_query_stats(stats: QueryStats) -> bool:
+    return stats.branch_law_ok() and stats.visit_bound_ok()
 
 
 def oracle_equivalence_report(g: Graph, f: int, modes: list[OracleMode],
-                              params: TreeParams | None = None,
-                              exhaustive_cap: int = 20_000,
-                              n_random: int = 2_000, seed: int = 0,
-                              stats_slack: int = 8) -> ValidationReport:
+                              seed: int = 0) -> ValidationReport:
     """Build an oracle of g in each mode and check it (check_oracle)."""
     rep = ValidationReport()
     truth_cache: dict[frozenset[int], bool] = {}  # shared by the modes
     for mode in modes:
         try:
-            oracle = build_oracle(g, f, mode, params)
+            oracle = build_oracle(g, f, mode)
         except NotFConnected:
             rep.add(f"{mode.value}-skipped", True, "graph is not f-connected")
             continue
-        sub = check_oracle(oracle, exhaustive_cap, n_random, seed, stats_slack,
-                           truth_cache)
+        sub = check_oracle(oracle, seed, truth_cache)
         rep.checks.extend(sub.checks)
     return rep
 
 
-def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
-                 n_random: int = 2_000, seed: int = 0,
-                 stats_slack: int = 8,
+def check_oracle(oracle: VertexCutOracle, seed: int = 0,
                  truth_cache: dict[frozenset[int], bool] | None = None
                  ) -> ValidationReport:
     """VertexCutOracle.query == is_cut_bruteforce on oracle.graph over
@@ -113,7 +121,7 @@ def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
             truth_cache[fs] = is_cut_bruteforce(g, fs)
         return truth_cache[fs]
 
-    queries, how = _queries(g.n, f, exhaustive_cap, n_random, seed)
+    queries, how = _queries(g.n, f, ORACLE_RANDOM_QUERIES, seed)
     mism = 0
     stat_bad = 0
     path_bad = 0
@@ -122,7 +130,7 @@ def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
         if got != truth(fs):
             mism += 1
         for st in stats_list:
-            if not check_query_stats(st, stats_slack):
+            if not check_query_stats(st):
                 stat_bad += 1
             if mode is OracleMode.FCONNECTED:
                 if st.branch_by_residual:
@@ -148,22 +156,21 @@ def check_oracle(oracle: VertexCutOracle, exhaustive_cap: int = 20_000,
     return rep
 
 
-def left_right_lemma_report(g: Graph, f: int, t_set: Iterable[int] | None = None,
-                            max_sep: int = 3, cut_budget: int = 4_000,
-                            query_budget: int = 400_000) -> ValidationReport:
-    """Exhaustive checks of the left/right graph lemmas over enumerated cuts:
-    completeness, soundness, the stepchild property, the f-connected
-    strengthening, connectivity inheritance, and the arboricity increment."""
-    ts = frozenset(range(g.n)) if t_set is None else frozenset(t_set)
+def left_right_lemma_report(g: Graph, f: int) -> ValidationReport:
+    """Exhaustive checks of the left/right graph lemmas over enumerated cuts
+    with T = V: completeness, soundness, the stepchild property, the
+    f-connected strengthening, connectivity inheritance, and the arboricity
+    increment."""
+    ts = frozenset(range(g.n))
     rep = ValidationReport()
     fconn = is_f_connected(g, f)
     queries = [frozenset(fs) for fs in _subsets_upto(range(g.n), f)]
 
     cuts = []
-    for cut in enumerate_vertex_cuts(g, max_sep=max_sep):
+    for cut in enumerate_vertex_cuts(g):
         if ts & cut.left and ts & cut.right:  # T-cut: terminals on both sides
             cuts.append(cut)
-        if len(cuts) >= cut_budget:
+        if len(cuts) >= LEMMA_CUT_BUDGET:
             break
 
     complete_bad = []
@@ -173,8 +180,9 @@ def left_right_lemma_report(g: Graph, f: int, t_set: Iterable[int] | None = None
     inherit_bad = []
     arbor_bad = []
     work = len(cuts) * len(queries)
-    if work > query_budget:
-        raise SizeCapExceeded(f"lemma suite needs {work} checks")
+    if work > LEMMA_QUERY_BUDGET:
+        raise SizeCapExceeded(
+            f"lemma suite needs {work} checks, over the cap of {LEMMA_QUERY_BUDGET}")
 
     for cut in cuts:
         pair = build_left_right(g, ts, cut, f)
@@ -241,17 +249,18 @@ def left_right_lemma_report(g: Graph, f: int, t_set: Iterable[int] | None = None
         rep.add("f-connected-strengthening", not strength_bad, "; ".join(strength_bad[:3]))
         rep.add("f-connected-inheritance", not inherit_bad, "; ".join(inherit_bad[:3]))
     rep.add("arboricity-increment", not arbor_bad, "; ".join(arbor_bad[:3]))
-    # An empty suite is fine only when no separator fits under max_sep.
-    rep.add("cuts-enumerated", bool(cuts) or is_f_connected(g, max_sep + 1),
+    # An empty suite is fine only when no separator fits under LEMMA_MAX_SEP.
+    rep.add("cuts-enumerated", bool(cuts) or is_f_connected(g, LEMMA_MAX_SEP + 1),
             f"{len(cuts)} T-cuts")
     return rep
 
 
-def trichotomy_report(g: Graph, f: int, max_sep: int = 3) -> ValidationReport:
-    """F is a cut iff the trichotomy finds an option, for every S and F."""
+def trichotomy_report(g: Graph, f: int) -> ValidationReport:
+    """F is a cut iff the trichotomy finds an option, for every F and every S
+    of at most TRICHOTOMY_MAX_SEP vertices."""
     rep = ValidationReport()
     bad = []
-    for s_sub in _subsets_upto(range(g.n), max_sep):
+    for s_sub in _subsets_upto(range(g.n), TRICHOTOMY_MAX_SEP):
         for fs in _subsets_upto(range(g.n), f):
             verdict = us_trichotomy(g, s_sub, fs)
             if (verdict is not Trichotomy.NOT_A_CUT) != is_cut_bruteforce(g, fs):
@@ -260,12 +269,10 @@ def trichotomy_report(g: Graph, f: int, max_sep: int = 3) -> ValidationReport:
     return rep
 
 
-def labels_equivalence_report(g: Graph, f: int,
-                              exhaustive_cap: int = 20_000,
-                              n_random: int = 1_000, seed: int = 0) -> ValidationReport:
+def labels_equivalence_report(g: Graph, f: int, seed: int = 0) -> ValidationReport:
     rep = ValidationReport()
     scheme = build_labels(g, f)
-    queries, how = _queries(g.n, f, exhaustive_cap, n_random, seed)
+    queries, how = _queries(g.n, f, LABEL_RANDOM_QUERIES, seed)
     mism = sum(1 for fs in queries
                if query_labels_scheme(scheme, fs) != is_cut_bruteforce(g, fs))
     rep.add("labels-equivalence", mism == 0, f"{len(queries)} {how} queries, {mism} mismatches")
@@ -278,7 +285,7 @@ def full_validation(g: Graph, f: int, modes: list[OracleMode] | None = None,
     rep = ValidationReport()
     if modes is None:
         modes = [OracleMode.GENERAL, OracleMode.HITMISS]
-        if g.n <= 64 and is_f_connected(g, f):
+        if g.n <= FCONN_CHECK_CAP and is_f_connected(g, f):
             modes.append(OracleMode.FCONNECTED)
     sub = oracle_equivalence_report(g, f, modes, seed=seed)
     rep.checks.extend(sub.checks)
@@ -286,7 +293,7 @@ def full_validation(g: Graph, f: int, modes: list[OracleMode] | None = None,
     rep.checks.extend(sub.checks)
     if g.n <= 12:
         rep.checks.extend(left_right_lemma_report(g, min(f, 3)).checks)
-        rep.checks.extend(trichotomy_report(g, min(f, 3), max_sep=2).checks)
-        if is_f_connected(g, f) and g.n <= 16:
+        rep.checks.extend(trichotomy_report(g, min(f, 3)).checks)
+        if is_f_connected(g, f):
             rep.checks.extend(check_fconnected_warmup(g, f).checks)
     return rep

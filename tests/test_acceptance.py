@@ -56,7 +56,7 @@ def _drive(record: RunRecord, oracle, g, queries) -> None:
         for st in stats_list:
             if not st.branch_law_ok():
                 record.branch_violations += 1
-            if not st.visit_bound_ok(8):
+            if not st.visit_bound_ok():
                 record.visit_violations += 1
             if record.mode == "fconnected":
                 if st.branch_by_residual:
@@ -214,7 +214,7 @@ def test_criterion_6_lemma_suites():
         rep = left_right_lemma_report(g, f)
         checks += len(rep.checks)
         failures.extend(rep.failures())
-        rep2 = trichotomy_report(g, min(f, 3), max_sep=2)
+        rep2 = trichotomy_report(g, min(f, 3))
         checks += len(rep2.checks)
         failures.extend(rep2.failures())
         if is_f_connected(g, f) and g.n <= 16:

@@ -75,6 +75,20 @@ def test_default_general_build_fills_full_us_tables(monkeypatch):
     assert 2 * 3 + 2 in sizes  # U at the 2f + 2 cap
 
 
+def test_built_oracle_keeps_no_split_graph():
+    # The default build of this chain finds its cuts by max-flow, which caches
+    # a split graph on each node graph it runs on; none may outlive the build.
+    g, _ = gen_block_chain(8, 20, 6.0, 2, 3, 1)
+    o = build_oracle(g, 3)
+    held = [o.graph, o.work]
+    for det in o.rounds:
+        for node in det.nodes():
+            held += [d.graph for d in (node.leaf, node.us_left, node.us_right, node.us_self)
+                     if d is not None]
+    assert o.round_info[0].depth >= 2
+    assert [h for h in held if h._split is not None] == []
+
+
 def test_default_general_build_of_a_deep_tree_matches_bruteforce():
     # The smallest n among chains of mean degree 6 with 2-vertex separators,
     # attach 3 and seeds 0..9 whose default f = 3 build recurses this deep.

@@ -98,15 +98,6 @@ def test_decompose_subcommand(graph_file, tmp_path, capsys):
         assert pair_graph.n == len(entry["root_ids"])
 
 
-def test_bench_subcommand(graph_file, tmp_path):
-    report_path = tmp_path / "bench.json"
-    assert main(["bench", "--input", str(graph_file), "--f", "2",
-                 "--queries", "40", "--out", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
-    assert report["agreement_rate"] == 1.0
-    assert report["schema_version"] == 1
-
-
 def test_validate_subcommand(graph_file, capsys):
     assert main(["validate", "--input", str(graph_file), "--f", "2"]) == 0
     out = capsys.readouterr().out

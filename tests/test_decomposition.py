@@ -219,5 +219,5 @@ def test_strengthening_inclusive_or_boundary():
 
 def test_trichotomy_suite():
     for g in (path_graph(6), cycle_graph(8), gen_connected_gnp(10, 0.3, 44)):
-        rep = trichotomy_report(g, 3, max_sep=2)
+        rep = trichotomy_report(g, 3)
         assert rep.ok, rep.failures()
