@@ -3,7 +3,7 @@ TED export directories, and JSON reports.
 
 Container layout (byte-exact):
   bytes 0..3   magic b"VCUT"
-  bytes 4..5   format version, u16 little-endian (currently 4)
+  bytes 4..5   format version, u16 little-endian (currently 5)
   bytes 6..13  manifest byte length, u64 little-endian
   ...          manifest: canonical JSON (UTF-8, sorted keys, separators ",",":")
   8 bytes      payload byte length, u64 little-endian
@@ -11,9 +11,14 @@ Container layout (byte-exact):
   last 32      SHA-256 over all preceding bytes
 
 Canonical JSON makes serialization deterministic, so structure sizes are
-reproducible byte-exactly. The payload holds the input and work graphs and
-one detector record per round; a round of any other type, and a container
-of any other version, is rejected (docs/FORMATS.md).
+reproducible byte-exactly. The payload stores each fact once. It holds the
+input graph, a table of graphs (the work graph, then each distinct leaf
+graph; leaves refer to it by index) and one detector record per round.
+What the tree determines is derived on load, not stored: node vertex sets,
+the rounds' terminal sets, S*, depths and vertex sums. The manifest's round
+summaries must equal those recomputed from the loaded detectors. A round of
+any other type, and a container of any other version, is rejected
+(docs/FORMATS.md).
 """
 
 from __future__ import annotations
@@ -30,11 +35,10 @@ from .detectors import FewTDetector, TEDetector, USDetector, build_fewt, build_t
 from .errors import InvalidParams
 from .graph import Graph
 from .labels import LabelingScheme
-from .oracle import (DetectorNode, OracleMode, RoundInfo, TerminalCutDetector,
-                     VertexCutOracle)
+from .oracle import DetectorNode, OracleMode, TerminalCutDetector, VertexCutOracle
 
 MAGIC = b"VCUT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -42,6 +46,16 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 # ---------------------------------------------------------------- edge lists
+
+def _ints(tokens: list[str]) -> list[int]:
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise InvalidParams(f"not an integer: {t!r}") from None
+    return out
+
 
 def parse_edgelist(text: str) -> Graph:
     """First line "n m", then m lines "u v"; '#' starts a comment line."""
@@ -52,7 +66,7 @@ def parse_edgelist(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise InvalidParams(f"bad header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(head)
     if len(lines) - 1 != m:
         raise InvalidParams(f"header says {m} edges, found {len(lines) - 1}")
     edges = []
@@ -60,7 +74,7 @@ def parse_edgelist(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise InvalidParams(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(_ints(parts)))
     return Graph(n, edges)
 
 
@@ -80,8 +94,7 @@ def parse_query_text(text: str) -> list[frozenset[int]]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        parts = ln.replace(",", " ").split()
-        queries.append(frozenset(int(p) for p in parts))
+        queries.append(frozenset(_ints(ln.replace(",", " ").split())))
     return queries
 
 
@@ -89,21 +102,10 @@ def parse_query_arg(arg: str) -> frozenset[int]:
     arg = arg.strip()
     if not arg:
         return frozenset()
-    return frozenset(int(p) for p in arg.replace(",", " ").split())
+    return frozenset(_ints(arg.replace(",", " ").split()))
 
 
 # ------------------------------------------------------------ oracle payload
-
-def _frac(x: Optional[Fraction]) -> Optional[str]:
-    return None if x is None else f"{x.numerator}/{x.denominator}"
-
-
-def _unfrac(s: Optional[str]) -> Optional[Fraction]:
-    if s is None:
-        return None
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
 
 def _graph_payload(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges],
@@ -135,28 +137,20 @@ def _us_from(payload: dict, f: int) -> USDetector:
                       payload["f_connected"], tables)
 
 
-def _node_payload(node: DetectorNode) -> dict:
-    out = {
-        "kind": node.kind.value,
-        "vset": sorted(node.vset),
-        "terminals": sorted(node.terminals),
-        "sep": sorted(node.sep),
-        "left_side": sorted(node.left_side),
-        "right_side": sorted(node.right_side),
-        "u_left": sorted(node.u_left),
-        "u_right": sorted(node.u_right),
-        "u_s": sorted(node.u_s),
-        "phi": _frac(node.phi),
-        "leaf": None,
-        "us_left": None, "us_right": None, "us_self": None,
-        "left": None, "right": None, "step": None,
-    }
+_NODE_SETS = ("sep", "left_side", "right_side", "u_left", "u_right")
+
+
+def _node_payload(node: DetectorNode, graphs: dict[Graph, int]) -> dict:
+    """A node record; ``graphs`` numbers the graph table, in order of first
+    use, and gains each leaf graph it does not yet hold."""
+    out = {name: sorted(getattr(node, name)) for name in _NODE_SETS}
+    out.update(kind=node.kind.value, leaf=None, us_left=None, us_right=None,
+               us_self=None, left=None, right=None, step=None)
     if node.leaf is not None:
         det = node.leaf
-        leaf = {"type": "te" if hasattr(det, "tau_adj") else "fewt",
-                "graph": _graph_payload(det.graph),
-                "terminals_local": sorted(det.terminals)}
-        out["leaf"] = leaf
+        out["leaf"] = {"type": "te" if hasattr(det, "tau_adj") else "fewt",
+                       "graph": graphs.setdefault(det.graph, len(graphs)),
+                       "terminals_local": sorted(det.terminals)}
     for name in ("us_left", "us_right", "us_self"):
         det = getattr(node, name)
         if det is not None:
@@ -164,82 +158,54 @@ def _node_payload(node: DetectorNode) -> dict:
     for name in ("left", "right", "step"):
         child = getattr(node, name)
         if child is not None:
-            out[name] = _node_payload(child)
+            out[name] = _node_payload(child, graphs)
     return out
 
 
-def _node_from(payload: dict, f: int, leaf_graphs: dict) -> DetectorNode:
-    node = DetectorNode(
-        kind=NodeKind(payload["kind"]),
-        vset=frozenset(payload["vset"]),
-        terminals=frozenset(payload["terminals"]),
-        sep=frozenset(payload["sep"]),
-        left_side=frozenset(payload["left_side"]),
-        right_side=frozenset(payload["right_side"]),
-        u_left=frozenset(payload["u_left"]),
-        u_right=frozenset(payload["u_right"]),
-        u_s=frozenset(payload["u_s"]),
-        phi=_unfrac(payload["phi"]),
-    )
+def _node_from(payload: dict, f: int, graphs: list[Graph],
+               conns: list) -> DetectorNode:
+    sets = {name: frozenset(payload[name]) for name in _NODE_SETS}
+    leaf = None
     if payload["leaf"] is not None:
-        node.leaf = _leaf_from(payload["leaf"], f, leaf_graphs)
+        leaf = _leaf_from(payload["leaf"], f, graphs, conns)
+        vset = leaf.graph.root_vertex_set()
+    else:
+        vset = sets["left_side"] | sets["sep"] | sets["right_side"]
+    node = DetectorNode(NodeKind(payload["kind"]), vset, leaf=leaf, **sets)
     for name in ("us_left", "us_right", "us_self"):
         if payload[name] is not None:
             setattr(node, name, _us_from(payload[name], f))
     for name in ("left", "right", "step"):
         if payload[name] is not None:
-            setattr(node, name, _node_from(payload[name], f, leaf_graphs))
+            setattr(node, name, _node_from(payload[name], f, graphs, conns))
     return node
 
 
-def _leaf_from(payload: dict, f: int, leaf_graphs: dict) -> FewTDetector | TEDetector:
-    # Leaves over equal graphs share one Graph and one connectivity oracle,
-    # as they do when built (oracle._conn_for), and so its memo of the last
-    # query. Candidates are found by vertex set, then matched on the edge
-    # list.
-    gp = payload["graph"]
-    shared = leaf_graphs.setdefault((gp["n"], tuple(gp["root_ids"])), [])
-    for edges, g, conn in shared:
-        if edges == gp["edges"]:
-            break
-    else:
-        g, conn = _graph_from(gp), None
+def _leaf_from(payload: dict, f: int, graphs: list[Graph],
+               conns: list) -> FewTDetector | TEDetector:
+    # Leaves over one table entry share its Graph and one connectivity
+    # oracle, as they do when built (oracle._conn_for), and so its memo of
+    # the last query. ``conns`` holds each entry's oracle once it is built.
+    i = payload["graph"]
+    if type(i) is not int or not 0 <= i < len(graphs):
+        raise InvalidParams(f"malformed oracle container: leaf graph index {i!r} "
+                            f"is not in [0, {len(graphs)})")
     build = build_te if payload["type"] == "te" else build_fewt
-    det = build(g, payload["terminals_local"], f, conn=conn)
-    if conn is None:
-        shared.append((gp["edges"], g, det.conn))
+    det = build(graphs[i], payload["terminals_local"], f, conn=conns[i])
+    conns[i] = det.conn
     return det
 
 
-def _detector_payload(det: TerminalCutDetector) -> dict:
-    return {
-        "type": "detector",
-        "s_star": sorted(det.s_star),
-        "terminals": sorted(det.terminals),
-        "depth": det.depth,
-        "fconnected": det.fconnected,
-        "eps": _frac(det.eps),
-        "sum_vertices": det.sum_vertices,
-        "sum_edges": det.sum_edges,
-        "root": _node_payload(det.root),
-    }
-
-
-def _detector_from(payload: dict, f: int, leaf_graphs: dict) -> TerminalCutDetector:
-    root = _node_from(payload["root"], f, leaf_graphs)
-    return TerminalCutDetector(root, frozenset(payload["s_star"]), f,
-                               frozenset(payload["terminals"]), payload["depth"],
-                               payload["fconnected"], _unfrac(payload["eps"]),
-                               payload["sum_vertices"], payload["sum_edges"])
-
-
 def oracle_payload(o: VertexCutOracle) -> dict:
+    graphs = {o.work: 0}
+    rounds = [{"type": "detector", "sum_edges": det.sum_edges,
+               "root": _node_payload(det.root, graphs)} for det in o.rounds]
     return {
         "mode": o.mode.value,
         "f": o.f,
         "graph": _graph_payload(o.graph),
-        "work": _graph_payload(o.work),
-        "rounds": [_detector_payload(det) for det in o.rounds],
+        "graphs": [_graph_payload(g) for g in graphs],
+        "rounds": rounds,
     }
 
 
@@ -247,33 +213,27 @@ def oracle_from_payload(payload: dict, manifest: dict) -> VertexCutOracle:
     f = payload["f"]
     mode = OracleMode(payload["mode"])
     graph = _graph_from(payload["graph"])
-    work = _graph_from(payload["work"])
-    for key, value in (("n", graph.n), ("m", graph.m), ("f", f),
-                       ("mode", mode.value), ("work_edges", work.m)):
-        if manifest[key] != value:
-            raise InvalidParams(f"manifest {key}={manifest[key]!r} disagrees "
-                                f"with the payload's {value!r}")
-    leaf_graphs: dict = {}  # shared by every leaf of this load
+    graphs = [_graph_from(gp) for gp in payload["graphs"]]
+    work = graphs[0]
+    conns: list = [None] * len(graphs)
+    # Round 0's terminals are the work graph's vertices; each later round's
+    # are the S* of the round before.
+    terms = frozenset(range(work.n))
     rounds = []
     for rp in payload["rounds"]:
         if rp["type"] != "detector":
             raise InvalidParams(f"unknown round type {rp['type']!r}")
-        rounds.append(_detector_from(rp, f, leaf_graphs))
-    return VertexCutOracle(graph, work, f, mode, rounds,
-                           _round_info_from(manifest, len(rounds)), manifest)
-
-
-def _round_info_from(manifest: dict, rounds: int) -> list[RoundInfo]:
-    """The per-round summary kept in the manifest, checked against the
-    payload's round count."""
-    entries = manifest.get("rounds")
-    if not isinstance(entries, list) or len(entries) != rounds:
-        listed = len(entries) if isinstance(entries, list) else "no"
-        raise InvalidParams(f"manifest lists {listed} rounds, payload has {rounds}")
-    try:
-        return [RoundInfo.from_manifest_entry(e) for e in entries]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParams(f"malformed manifest round entry: {exc!r}") from None
+        root = _node_from(rp["root"], f, graphs, conns)
+        rounds.append(TerminalCutDetector(root, f, terms, mode is OracleMode.FCONNECTED,
+                                          rp["sum_edges"]))
+        terms = rounds[-1].s_star
+    for key, value in (("n", graph.n), ("m", graph.m), ("f", f),
+                       ("mode", mode.value), ("work_edges", work.m),
+                       ("rounds", [det.manifest_entry() for det in rounds])):
+        if manifest[key] != value:
+            raise InvalidParams(f"manifest {key}={manifest[key]!r} disagrees "
+                                f"with the payload's {value!r}")
+    return VertexCutOracle(graph, work, f, mode, rounds, manifest)
 
 
 def oracle_to_bytes(o: VertexCutOracle) -> bytes:
@@ -308,7 +268,7 @@ def oracle_from_bytes(data: bytes) -> VertexCutOracle:
             ArithmeticError) as exc:
         # A checksummed container written by something other than
         # oracle_to_bytes: bad lengths, text that is not JSON, missing keys,
-        # a fraction over zero.
+        # values of the wrong type.
         raise InvalidParams(
             f"malformed oracle container: {type(exc).__name__}: {exc}") from None
 
@@ -349,6 +309,10 @@ def write_label_dump(scheme: LabelingScheme, path: str) -> None:
 
 
 # ---------------------------------------------------------------- TED export
+
+def _frac(x: Optional[Fraction]) -> Optional[str]:
+    return None if x is None else f"{x.numerator}/{x.denominator}"
+
 
 def write_ted_dir(ted: TedCollection, path: str) -> None:
     """A directory with one edge-list file per pair plus manifest.json listing

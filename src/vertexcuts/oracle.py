@@ -22,7 +22,6 @@ round, no family.
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,20 +71,24 @@ class QueryStats:
 
 @dataclass
 class DetectorNode:
-    """A tree node after augmentation; per-node graphs are dropped and only
-    membership sets (in root ids) remain, plus the attached detectors. Each
-    detector works in the ids of its own graph, reached from root ids
-    through ``det.graph.root_to_local``."""
+    """A tree node after augmentation: per-node graphs are dropped, and what
+    remains is the membership sets the search reads (in root ids) and the
+    attached detectors. Each detector works in the ids of its own graph,
+    reached from root ids through ``det.graph.root_to_local``.
+
+    ``vset`` is the node graph's vertex set. It is not stored in a container:
+    a loaded leaf takes it from its leaf graph, and a loaded internal node as
+    ``left_side | sep | right_side``, the partition its cut made. The node's
+    terminals are not kept; a debug build keeps the LR node itself in ``lr``,
+    with its graph and terminals, for ``verify_node_contracts``."""
 
     kind: NodeKind
     vset: frozenset[int]
-    terminals: frozenset[int]
     sep: frozenset[int] = frozenset()
     left_side: frozenset[int] = frozenset()
     right_side: frozenset[int] = frozenset()
     u_left: frozenset[int] = frozenset()
     u_right: frozenset[int] = frozenset()
-    u_s: frozenset[int] = frozenset()
     leaf: Optional[FewTDetector | TEDetector] = None
     us_left: Optional[USDetector] = None
     us_right: Optional[USDetector] = None
@@ -93,8 +96,7 @@ class DetectorNode:
     left: Optional["DetectorNode"] = None
     right: Optional["DetectorNode"] = None
     step: Optional["DetectorNode"] = None
-    phi: Optional[Fraction] = None
-    debug_graph: Optional[Graph] = None
+    lr: Optional[LRNode] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -103,20 +105,34 @@ class DetectorNode:
 
 class TerminalCutDetector:
     """An (f, T, S*)-cut detector: sound always, complete whenever F
-    separates T but not S*."""
+    separates T but not S*.
 
-    def __init__(self, root: DetectorNode, s_star: frozenset[int], f: int,
-                 terminals: frozenset[int], depth: int, fconnected: bool,
-                 eps: Fraction, sum_vertices: int, sum_edges: int):
+    S* (the union of the internal nodes' separators), the depth in levels
+    and the sum of the node graphs' vertex counts are read off the tree.
+    The sum of their edge counts is given: the tree keeps no internal node
+    graph."""
+
+    def __init__(self, root: DetectorNode, f: int, terminals: frozenset[int],
+                 fconnected: bool, sum_edges: int):
         self.root = root
-        self.s_star = s_star
         self.f = f
         self.terminals = terminals
-        self.depth = depth            # tree depth in levels (>= 1)
         self.fconnected = fconnected
-        self.eps = eps
-        self.sum_vertices = sum_vertices
         self.sum_edges = sum_edges
+        nodes = self.nodes()
+        self.s_star = frozenset().union(*(node.sep for node in nodes))
+        self.sum_vertices = sum(len(node.vset) for node in nodes)
+        self.depth = _levels(root)
+
+    def manifest_entry(self) -> dict:
+        """This round's summary, as the manifest's ``rounds`` lists it."""
+        return {
+            "terminals": len(self.terminals),
+            "s_star": len(self.s_star),
+            "tree_depth": self.depth,
+            "sum_vertices": self.sum_vertices,
+            "sum_edges": self.sum_edges,
+        }
 
     def query(self, f_set: Iterable[int]) -> tuple[DetectorAnswer, QueryStats]:
         if self.fconnected:
@@ -135,6 +151,11 @@ class TerminalCutDetector:
         return out
 
 
+def _levels(node: DetectorNode) -> int:
+    return 1 + max((_levels(c) for c in (node.left, node.right, node.step)
+                    if c is not None), default=0)
+
+
 def _conn_for(graph: Graph, f: int,
               pool: dict[Graph, FailureConnectivityOracle]) -> FailureConnectivityOracle:
     # Leaves over equal node graphs, across all the detectors of one oracle,
@@ -151,8 +172,8 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
              debug: bool, pool: dict[Graph, FailureConnectivityOracle]) -> DetectorNode:
     g = node.graph
     root_map = g.root_to_local
-    det = DetectorNode(kind=node.kind, vset=node.vertex_set, terminals=node.terminals,
-                       phi=node.phi, debug_graph=g if debug else None)
+    det = DetectorNode(kind=node.kind, vset=node.vertex_set,
+                       lr=node if debug else None)
     if node.is_leaf:
         local_t = [root_map[r] for r in node.terminals]
         if node.kind is NodeKind.LEAF_EXPANDER and len(local_t) > threshold:
@@ -165,7 +186,6 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
     det.right_side = node.cut.right
     det.u_left = node.u_left
     det.u_right = node.u_right
-    det.u_s = node.u_s
     gl, gr = node.left.graph, node.right.graph
     if fconnected:
         local_s = [root_map[r] for r in node.cut.sep]
@@ -202,9 +222,8 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
     if pool is None:
         pool = {}
     root = _augment(tree.root, f, tree.leaf_threshold, fconnected, debug, pool)
-    return TerminalCutDetector(root, tree.s_star, f, frozenset(tree.root.terminals),
-                               tree.depth, fconnected, tree.eps,
-                               tree.sum_vertices, tree.sum_edges)
+    return TerminalCutDetector(root, f, frozenset(tree.root.terminals), fconnected,
+                               tree.sum_edges)
 
 
 def _ask(det: FewTDetector | TEDetector | USDetector,
@@ -306,21 +325,22 @@ def verify_node_contracts(d: TerminalCutDetector, f_set: Iterable[int]) -> list[
     """Instrumented per-node contract check for debug builds (general mode).
 
     For every tree node q, re-run the search from q with F_q = F ∩ V(G_q)
-    and check against the retained node graph: a "cut" answer means F_q cuts
-    G_q; if F_q separates T_q but not S* ∩ V(G_q), the answer must be "cut".
+    and check against the LR node that a debug build retains, with its graph
+    G_q and terminals T_q: a "cut" answer means F_q cuts G_q; if F_q
+    separates T_q but not S* ∩ V(G_q), the answer must be "cut".
     """
     from .graph import is_cut_bruteforce, separates_terminals
     fs = frozenset(f_set)
     violations: list[str] = []
     for node in d.nodes():
-        g = node.debug_graph
-        if g is None:
+        if node.lr is None:
             raise InvalidParams("node contracts need a debug build (debug=True)")
+        g = node.lr.graph
         f_q = fs & node.vset
         stats = QueryStats(query_size=len(f_q), tree_depth=d.depth)
         ans = _visit_general(node, f_q, 1, stats)
         f_local = [g.root_to_local[r] for r in f_q]
-        t_local = [g.root_to_local[r] for r in node.terminals]
+        t_local = [g.root_to_local[r] for r in node.lr.terminals]
         s_local = [g.root_to_local[r] for r in d.s_star & node.vset]
         if ans is DetectorAnswer.CUT and not is_cut_bruteforce(g, f_local):
             violations.append(f"unsound at {node.kind.value}: F={sorted(f_q)}")
@@ -331,41 +351,17 @@ def verify_node_contracts(d: TerminalCutDetector, f_set: Iterable[int]) -> list[
     return violations
 
 
-@dataclass
-class RoundInfo:
-    terminal_count: int
-    s_star_count: int
-    depth: int
-    sum_vertices: int
-    sum_edges: int
-
-    def manifest_entry(self) -> dict:
-        return {
-            "terminals": self.terminal_count,
-            "s_star": self.s_star_count,
-            "tree_depth": self.depth,
-            "sum_vertices": self.sum_vertices,
-            "sum_edges": self.sum_edges,
-        }
-
-    @classmethod
-    def from_manifest_entry(cls, entry: dict) -> "RoundInfo":
-        return cls(entry["terminals"], entry["s_star"], entry["tree_depth"],
-                   entry["sum_vertices"], entry["sum_edges"])
-
-
 class VertexCutOracle:
     """Stores the per-round cut detectors; a query F is a cut iff some round's
     detector answers "cut"."""
 
     def __init__(self, graph: Graph, work: Graph, f: int, mode: OracleMode,
-                 rounds, round_info: list[RoundInfo], manifest: dict):
+                 rounds: list[TerminalCutDetector], manifest: dict):
         self.graph = graph
         self.work = work
         self.f = f
         self.mode = mode
         self.rounds = rounds
-        self.round_info = round_info
         self.manifest = manifest
 
     def query(self, f_set: Iterable[int]) -> bool:
@@ -385,11 +381,6 @@ class VertexCutOracle:
             if ans is DetectorAnswer.CUT:
                 return True, all_stats
         return False, all_stats
-
-
-def _round_guard(i: int, n: int) -> None:
-    if i > math.ceil(math.log2(max(2, n))) + 1:
-        raise ContractUnsatisfiable("terminal reduction exceeded its round budget")
 
 
 def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
@@ -424,26 +415,19 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
                 "pass attest_f_connected=True")
 
     rounds: list[TerminalCutDetector] = []
-    info: list[RoundInfo] = []
     pool: dict[Graph, FailureConnectivityOracle] = {}
     terms = frozenset(range(work.n))
-    i = 0
     while terms:
-        _round_guard(i, work.n)
         if mode is OracleMode.HITMISS:
-            det = _build_hitmiss_round(work, terms, f, params, pool)
+            det = _build_hitmiss_round(work, terms, f, pool)
         else:
             det = build_detector(work, terms, f, params,
                                  fconnected=(mode is OracleMode.FCONNECTED), pool=pool)
-        s_star = det.s_star
-        info.append(RoundInfo(len(terms), len(s_star), det.depth,
-                              det.sum_vertices, det.sum_edges))
+        if 2 * len(det.s_star) > len(terms):
+            raise ContractUnsatisfiable(f"round {len(rounds)}: |S*|={len(det.s_star)} "
+                                        f"exceeds half of |T|={len(terms)}")
         rounds.append(det)
-        if 2 * len(s_star) > len(terms):
-            raise ContractUnsatisfiable(
-                f"round {i}: |S*|={len(s_star)} exceeds half of |T|={len(terms)}")
-        terms = s_star
-        i += 1
+        terms = det.s_star
 
     manifest = {
         "schema_version": 1,
@@ -454,19 +438,17 @@ def build_oracle(g: Graph, f: int, mode: OracleMode = OracleMode.GENERAL,
         "sparsified": True,
         "work_edges": work.m,
         "f_connected_verification": fconn_flag,
-        "rounds": [r.manifest_entry() for r in info],
+        "rounds": [det.manifest_entry() for det in rounds],
     }
-    return VertexCutOracle(g, work, f, mode, rounds, info, manifest)
+    return VertexCutOracle(g, work, f, mode, rounds, manifest)
 
 
 def _build_hitmiss_round(work: Graph, terms: frozenset[int], f: int,
-                         params: TreeParams,
                          pool: dict[Graph, FailureConnectivityOracle]
                          ) -> TerminalCutDetector:
     """A hit-miss round over the terminals ``terms``: one few-terminals leaf
     over the work graph with S* empty, which answers "cut" iff T - F meets
     two components of work - F (see the module docstring)."""
-    leaf = DetectorNode(NodeKind.LEAF_FEWT, work.root_vertex_set(), terms,
+    leaf = DetectorNode(NodeKind.LEAF_FEWT, work.root_vertex_set(),
                         leaf=build_fewt(work, terms, f, conn=_conn_for(work, f, pool)))
-    return TerminalCutDetector(leaf, frozenset(), f, terms, 1, False,
-                               params.eps_for(len(terms)), work.n, work.m)
+    return TerminalCutDetector(leaf, f, terms, False, work.m)

@@ -145,14 +145,14 @@ def check_oracle(oracle: VertexCutOracle, seed: int = 0,
     if mode is OracleMode.FCONNECTED:
         rep.add("fconnected-single-path", path_bad == 0,
                 f"{path_bad} multi-path queries")
-    for i, info in enumerate(oracle.round_info):
-        if 2 * info.s_star_count > info.terminal_count:
+    for i, det in enumerate(oracle.rounds):
+        if 2 * len(det.s_star) > len(det.terminals):
             rep.add(f"{mode.value}-terminal-halving", False,
-                    f"round {i}: {info.s_star_count} > {info.terminal_count}/2")
+                    f"round {i}: {len(det.s_star)} > {len(det.terminals)}/2")
             break
     else:
         rep.add(f"{mode.value}-terminal-halving", True,
-                f"{len(oracle.round_info)} rounds")
+                f"{len(oracle.rounds)} rounds")
     return rep
 
 

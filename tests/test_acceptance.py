@@ -63,8 +63,8 @@ def _drive(record: RunRecord, oracle, g, queries) -> None:
                     record.fconn_multi_path += 1
                 if st.nodes_visited > st.tree_depth + st.step_visits:
                     record.fconn_multi_path += 1
-    for info in oracle.round_info:
-        if 2 * info.s_star_count > info.terminal_count:
+    for det in oracle.rounds:
+        if 2 * len(det.s_star) > len(det.terminals):
             record.halving_ok = False
     record.rounds_ok = len(oracle.rounds) <= math.ceil(math.log2(max(2, g.n))) + 1
 

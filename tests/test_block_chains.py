@@ -85,7 +85,7 @@ def test_built_oracle_keeps_no_split_graph():
         for node in det.nodes():
             held += [d.graph for d in (node.leaf, node.us_left, node.us_right, node.us_self)
                      if d is not None]
-    assert o.round_info[0].depth >= 2
+    assert o.rounds[0].depth >= 2
     assert [h for h in held if h._split is not None] == []
 
 
@@ -94,7 +94,7 @@ def test_default_general_build_of_a_deep_tree_matches_bruteforce():
     # attach 3 and seeds 0..9 whose default f = 3 build recurses this deep.
     g, seps = gen_block_chain(9, 32, 6.0, 2, 3, 0)
     o = build_oracle(g, 3)
-    assert max(info.depth for info in o.round_info) >= 4
+    assert max(det.depth for det in o.rounds) >= 4
     assert len(o.rounds) >= 2
     for qseed in range(3):
         check_against_bruteforce(o, g, seps, 3, random.Random(qseed))

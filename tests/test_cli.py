@@ -36,6 +36,24 @@ def test_query_parsing():
     assert qs == [frozenset({1, 2}), frozenset({3, 4, 5})]
 
 
+def test_text_that_is_not_an_integer_is_an_error(tmp_path, capsys):
+    bad_graph = tmp_path / "bad.edges"
+    bad_graph.write_text("3 x\n")
+    assert main(["build", "--input", str(bad_graph), "--f", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+    good_graph = tmp_path / "p3.edges"
+    good_graph.write_text("3 2\n0 1\n1 2\n")
+    oracle_path = tmp_path / "p3.vco"
+    assert main(["build", "--input", str(good_graph), "--f", "1",
+                 "--out", str(oracle_path)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--oracle", str(oracle_path), "--queries", "1,a"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'a'" in err
+    with pytest.raises(InvalidParams, match="'0x'"):
+        parse_query_text("1 2\n0x\n")
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     path = tmp_path / "g.edges"

@@ -1,8 +1,10 @@
-"""The oracle container on load: round summaries and shared connectivity
-oracles survive a save/load round trip, and malformed containers, fuzzed
-by truncation, length fields and re-checksummed byte edits, either load or
+"""The oracle container on load: round summaries, derived vertex sets and
+shared connectivity oracles survive a save/load round trip, a save of a
+loaded oracle reproduces its bytes, and malformed containers, fuzzed by
+truncation, length fields and re-checksummed byte edits, either load or
 are rejected with a library error."""
 
+import copy
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -41,14 +43,39 @@ def leaves(o):
                 yield node.leaf
 
 
+def first_leaf(node_payload):
+    while node_payload["leaf"] is None:
+        node_payload = node_payload["left"]
+    return node_payload["leaf"]
+
+
 @pytest.mark.parametrize("g,f,mode,params", CASES)
 def test_round_info_survives_save_and_load(tmp_path, g, f, mode, params):
+    # Each round's summary (T, S*, depth, size sums) and each node's vertex
+    # set are derived on load; they must come out as built.
     o = build_oracle(g, f, mode, params)
     path = str(tmp_path / "oracle.vcut")
     save_oracle(o, path)
     loaded = load_oracle(path)
-    assert loaded.round_info == o.round_info
-    assert len(loaded.round_info) == len(o.rounds) >= 1
+    assert len(loaded.rounds) == len(o.rounds) >= 1
+    assert ([det.manifest_entry() for det in loaded.rounds]
+            == [det.manifest_entry() for det in o.rounds] == o.manifest["rounds"])
+    for built, back in zip(o.rounds, loaded.rounds):
+        assert (back.terminals, back.s_star) == (built.terminals, built.s_star)
+        assert [n.vset for n in back.nodes()] == [n.vset for n in built.nodes()]
+
+
+@pytest.mark.parametrize("g,f,mode,params", CASES)
+def test_save_of_a_loaded_oracle_reproduces_its_bytes(g, f, mode, params):
+    data = oracle_to_bytes(build_oracle(g, f, mode, params))
+    assert oracle_to_bytes(oracle_from_bytes(data)) == data
+
+
+def test_work_graph_is_stored_once():
+    # The hit-miss leaf is over the work graph, which is table entry 0.
+    payload = oracle_payload(build_oracle(path_graph(5), 1, OracleMode.HITMISS))
+    assert len(payload["graphs"]) == 1 and "work" not in payload
+    assert first_leaf(payload["rounds"][0]["root"])["graph"] == 0
 
 
 def test_round_count_mismatch_is_rejected():
@@ -88,15 +115,18 @@ def test_leaves_over_one_graph_share_one_oracle():
 
 
 def test_leaf_interning_matches_whole_graphs():
+    # Leaves share the Graph and the connectivity oracle of their table
+    # entry; two entries over the same vertices with other edges do not.
     from vertexcuts.detectors import DetectorAnswer
+    from vertexcuts.graph import Graph
     from vertexcuts.io import _leaf_from
-    path = {"n": 3, "edges": [[0, 1], [1, 2]], "root_ids": [5, 6, 7]}
-    triangle = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "root_ids": [5, 6, 7]}
-    shared = {}
-    a, b, c = (_leaf_from({"type": "fewt", "graph": gp, "terminals_local": [0, 2]},
-                          1, shared) for gp in (path, triangle, dict(path)))
-    assert a.graph is c.graph and a.conn is c.conn
-    assert b.conn is not a.conn  # same vertices, other edges
+    graphs = [Graph(3, [(0, 1), (1, 2)], root_ids=[5, 6, 7]),
+              Graph(3, [(0, 1), (0, 2), (1, 2)], root_ids=[5, 6, 7])]
+    conns = [None, None]
+    a, b, c = (_leaf_from({"type": "fewt", "graph": i, "terminals_local": [0, 2]},
+                          1, graphs, conns) for i in (0, 1, 0))
+    assert a.graph is c.graph is graphs[0] and a.conn is c.conn
+    assert b.graph is graphs[1] and b.conn is not a.conn
     assert a.query([1]) is DetectorAnswer.CUT
     assert b.query([1]) is DetectorAnswer.FAIL
 
@@ -109,10 +139,10 @@ def test_malformed_checksummed_containers_raise_invalid_params():
     no_f = {k: v for k, v in payload.items() if k != "f"}
     no_root = dict(payload, rounds=[{k: v for k, v in payload["rounds"][0].items()
                                      if k != "root"}] + payload["rounds"][1:])
-    zero_eps = dict(payload, rounds=[dict(payload["rounds"][0], eps="1/0")]
-                    + payload["rounds"][1:])
+    no_graph = copy.deepcopy(payload)
+    first_leaf(no_graph["rounds"][0]["root"])["graph"] = len(payload["graphs"])
     bad = [
-        container(manifest, canonical_json_bytes(zero_eps)),
+        container(manifest, canonical_json_bytes(no_graph)),
         container(manifest, canonical_json_bytes(no_f)),
         container(manifest, canonical_json_bytes(no_root)),
         container(manifest, b"not json"),
@@ -121,6 +151,29 @@ def test_malformed_checksummed_containers_raise_invalid_params():
     for data in bad:
         with pytest.raises(InvalidParams, match="malformed"):
             oracle_from_bytes(data)
+
+
+@pytest.mark.parametrize("index", ["len", -1, True, 0.0, "0"])
+def test_leaf_graph_index_outside_the_table_is_rejected(index):
+    # A negative index must not wrap around to the end of the table.
+    o = build_oracle(barbell_graph(5), 2, params=DEEP)
+    payload = oracle_payload(o)
+    assert len(payload["graphs"]) > 1
+    leaf = first_leaf(payload["rounds"][0]["root"])
+    leaf["graph"] = len(payload["graphs"]) if index == "len" else index
+    with pytest.raises(InvalidParams, match="leaf graph index"):
+        oracle_from_bytes(container(canonical_json_bytes(o.manifest),
+                                    canonical_json_bytes(payload)))
+
+
+def test_manifest_round_summary_that_disagrees_with_the_payload_is_rejected():
+    o = build_oracle(barbell_graph(5), 2, params=DEEP)
+    _, payload = container_parts(oracle_to_bytes(o))
+    rounds = [dict(r) for r in o.manifest["rounds"]]
+    rounds[0]["tree_depth"] += 1
+    manifest = canonical_json_bytes(dict(o.manifest, rounds=rounds))
+    with pytest.raises(InvalidParams, match="manifest rounds="):
+        oracle_from_bytes(container(manifest, payload))
 
 
 MANIFEST_EDITS = {"n": 1, "m": 1, "f": 1, "work_edges": 1, "mode": "hitmiss"}
@@ -215,6 +268,12 @@ def test_version_3_container_is_rejected():
     # version 3 stored a trivial hit-miss round as a detector record but still
     # read the hit-miss round record, which version 4 drops
     assert_version_is_rejected(3)
+
+
+def test_version_4_container_is_rejected():
+    # version 4 stored the work graph again in each leaf over it, node
+    # vertex and terminal sets, and eps, phi and u_s, which version 5 drops
+    assert_version_is_rejected(4)
 
 
 def test_unknown_round_type_is_rejected():

@@ -96,7 +96,7 @@ def test_oracle_exhaustive_small_random():
 def test_deep_tree_branch_law_and_agreement():
     g = two_blob_graph(9, 3, 0.5, 5)   # n = 21 with a planted sparse cut
     o = build_oracle(g, 3, params=TreeParams(eps_override=Fraction(1, 3)))
-    assert any(r.depth > 1 for r in o.round_info)
+    assert any(det.depth > 1 for det in o.rounds)
     branch_seen = 0
     for fs in subsets_upto(g.n, 3):
         got, stats_list = o.query_with_stats(fs)
@@ -113,8 +113,8 @@ def test_terminal_reduction_across_rounds():
              (two_blob_graph(8, 2, 0.5, 9), 2, TreeParams(eps_override=Fraction(1, 4)))]
     for g, f, params in cases:
         o = build_oracle(g, f, params=params)
-        for info in o.round_info:
-            assert 2 * info.s_star_count <= info.terminal_count
+        for det in o.rounds:
+            assert 2 * len(det.s_star) <= len(det.terminals)
         assert len(o.rounds) <= math.ceil(math.log2(g.n)) + 1
 
 
@@ -171,14 +171,15 @@ def test_hitmiss_oracle_exhaustive():
 
 
 def assert_one_leaf_over_the_work_graph(o):
-    assert len(o.rounds) == len(o.round_info) == 1
-    det, info = o.rounds[0], o.round_info[0]
+    assert len(o.rounds) == len(o.manifest["rounds"]) == 1
+    det = o.rounds[0]
     assert isinstance(det, TerminalCutDetector) and det.root.is_leaf
     assert det.root.kind is NodeKind.LEAF_FEWT and det.s_star == frozenset()
     assert det.root.leaf.graph == o.work
-    assert det.terminals == det.root.terminals == frozenset(range(o.work.n))
-    assert (info.depth, info.s_star_count) == (1, 0)
-    assert (info.sum_vertices, info.sum_edges) == (o.work.n, o.work.m)
+    assert det.terminals == det.root.leaf.graph.root_vertex_set() == frozenset(range(o.work.n))
+    assert det.manifest_entry() == o.manifest["rounds"][0] == {
+        "terminals": o.work.n, "s_star": 0, "tree_depth": 1,
+        "sum_vertices": o.work.n, "sum_edges": o.work.m}
     assert [r["type"] for r in oracle_payload(o)["rounds"]] == ["detector"]
 
 
@@ -196,7 +197,6 @@ def assert_one_leaf_over_the_work_graph(o):
 def test_default_hitmiss_round_is_one_leaf_and_draws_no_family(g, f, params):
     o = build_oracle(g, f, OracleMode.HITMISS, params)
     assert_one_leaf_over_the_work_graph(o)
-    assert o.rounds[0].eps == (params or TreeParams()).eps_for(o.work.n)
     loaded = oracle_from_bytes(oracle_to_bytes(o))
     assert_one_leaf_over_the_work_graph(loaded)
     for fs in subsets_upto(g.n, f):
