@@ -303,9 +303,6 @@ class LRNode:
         return self.kind in (NodeKind.LEAF_FEWT, NodeKind.LEAF_EXPANDER,
                              NodeKind.LEAF_STEPCHILD)
 
-    def children(self) -> list["LRNode"]:
-        return [c for c in (self.left, self.right, self.step) if c is not None]
-
 
 @dataclass
 class LRTree:

@@ -5,12 +5,14 @@ contract: "cut" answers are always genuine cuts of the detector's graph
 (soundness); when F separates the detector's T but not its S, the answer is
 "cut" (completeness).
 
-The U/S detector stores one table row per W ⊆ U (|U| <= 2f+2). ``build_us``
-sweeps its graph once: it labels the components of G-(S∪U) and their
-boundaries in S∪U, then derives each row by merging the components that
-U-(S∪W) joins, so a row costs the degrees of S∪U rather than a pass over
-the graph. ``us_trichotomy`` and the tests' per-W recomputation stay on the
-plain BFS of ``graph.component_labels``.
+The U/S detector (|U| <= 2f+2) stores one table row per W ⊆ U with |W| <= f:
+a query F reads only the row W = F - S, and |W| <= |F| <= f. It works in
+root ids and keeps no graph. ``build_us`` sweeps its graph once: it labels
+the components of G-(S∪U) and their boundaries in S∪U, then derives each
+row by merging the components that U-(S∪W) joins, so a row costs the
+degrees of S∪U rather than a pass over the graph. ``us_trichotomy`` and the
+tests' per-W recomputation stay on the plain BFS of
+``graph.component_labels``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .connectivity import FailureConnectivityOracle, build_conn_oracle
 from .errors import (BudgetExceeded, DisconnectedInput, InvalidParams,
-                     QueryOutsideSU, TooManyFailures)
+                     OutOfRange, QueryOutsideSU, TooManyFailures)
 from .graph import Graph, component_labels, components
 
 
@@ -204,17 +206,17 @@ def us_trichotomy(g: Graph, s_set: Iterable[int], f_set: Iterable[int]) -> Trich
 class USDetector:
     """Cut detector restricted to queries inside S ∪ U.
 
-    For every W ⊆ U it stores the sorted array of encoded neighbor-sets N(C)
-    with |N(C)| <= f over components C of G-(S∪W), plus a connectivity bit
-    for G-(S∪W). Encoding: tuple of vertex ids ascending (duplicates across
-    components deduplicated; membership semantics unaffected). ``build_us``
-    fills all 2^|U| rows from one sweep of G-(S∪U).
+    For every W ⊆ U with |W| <= f it stores the sorted array of encoded
+    neighbor-sets N(C) with |N(C)| <= f over components C of G-(S∪W), plus
+    a connectivity bit for G-(S∪W). Encoding: tuple of vertex ids ascending
+    (duplicates across components deduplicated; membership semantics
+    unaffected). S, U, the row keys W and the neighbor-sets are root ids, so
+    a query takes F in root ids, and the detector keeps no graph.
     """
 
-    __slots__ = ("graph", "u_set", "s_set", "f", "f_connected", "tables")
+    __slots__ = ("u_set", "s_set", "f", "f_connected", "tables")
 
-    def __init__(self, graph, u_set, s_set, f, f_connected, tables):
-        self.graph = graph
+    def __init__(self, u_set, s_set, f, f_connected, tables):
         self.u_set = u_set
         self.s_set = s_set
         self.f = f
@@ -227,7 +229,8 @@ class USDetector:
 
 def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
              f_connected: bool = False) -> USDetector:
-    """US detector over g with its 2^|U| tables, |U| <= 2f+2.
+    """US detector over g for U and S given in root ids, |U| <= 2f+2, with
+    the rows of the W ⊆ U with |W| <= f.
 
     One DFS labels the components c of G0 = G-(S∪U) and collects each
     boundary B(c) ⊆ S∪U. The row of W puts L = U-(S∪W) back: the
@@ -236,21 +239,24 @@ def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
     B(c) and its L vertices' neighbors in S∪U, less L. Every component
     that L does not touch keeps N(C) = B(c). So a call costs O(n + m) once
     and then O(deg(S∪U) + #distinct B(c)) per row, not a pass over the
-    graph per row.
+    graph per row. Rows are mapped to root ids as they are made.
     """
     us = frozenset(u_set)
     ss = frozenset(s_set)
-    g.check_vertices(us)
-    g.check_vertices(ss)
+    local = g.root_to_local
+    outside = sorted((us | ss) - local.keys())
+    if outside:
+        raise OutOfRange(f"vertex {outside[0]} is not a root id of the graph")
     cap = 2 * f + 2
     if len(us) > cap:
-        raise BudgetExceeded(f"|U|={len(us)} exceeds the 2^|U| table budget (cap {cap})")
-    removed = ss | us
+        raise BudgetExceeded(f"|U|={len(us)} exceeds the US detector's cap of 2f+2 = {cap}")
+    rid = g.root_ids
+    removed = frozenset(local[r] for r in ss | us)
     bound = _boundaries(g, removed)
-    keys = [tuple(sorted(b)) if len(b) <= f else None for b in bound]
+    keys = [tuple(sorted(rid[x] for x in b)) if len(b) <= f else None for b in bound]
     base = set(keys) - {None}
     # The components each returning vertex touches, and its neighbors in S∪U.
-    touches: dict[int, list[int]] = {u: [] for u in us - ss}
+    touches: dict[int, list[int]] = {local[u]: [] for u in us - ss}
     for c, b in enumerate(bound):
         for u in b:
             if u in touches:
@@ -258,10 +264,10 @@ def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
     near = {u: removed.intersection(g.adj[u]) for u in touches}
     u_sorted = sorted(us)
     tables: dict[frozenset[int], tuple[list[tuple[int, ...]], bool]] = {}
-    for r in range(len(u_sorted) + 1):
+    for r in range(min(f, len(u_sorted)) + 1):
         for w in combinations(u_sorted, r):
             ws = frozenset(w)
-            live = us - ss - ws
+            live = {local[u] for u in us - ss - ws}
             # Each component L touches, with the L vertices touching it.
             joined: dict[int, list[int]] = {}
             for u in live:
@@ -293,9 +299,9 @@ def build_us(g: Graph, u_set: Iterable[int], s_set: Iterable[int], f: int,
                             stack.append(x)
                 nbhd -= live
                 if len(nbhd) <= f:
-                    seen.add(tuple(sorted(nbhd)))
+                    seen.add(tuple(sorted(rid[x] for x in nbhd)))
             tables[ws] = (sorted(seen), ncomp <= 1)
-    return USDetector(g, us, ss, f, f_connected, tables)
+    return USDetector(us, ss, f, f_connected, tables)
 
 
 def _boundaries(g: Graph, removed: frozenset[int]) -> list[set[int]]:

@@ -26,7 +26,8 @@ class QueriedFailedVertex(VertexCutsError):
 
 
 class BudgetExceeded(VertexCutsError):
-    """A build would exceed its configured table budget (2^|U| blowup)."""
+    """A build would exceed its configured budget (a US detector's |U| past
+    its 2f+2 cap, which bounds its rows, one per W ⊆ U with |W| <= f)."""
 
 
 class QueryOutsideSU(VertexCutsError):

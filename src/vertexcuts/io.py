@@ -3,7 +3,7 @@ TED export directories, and JSON reports.
 
 Container layout (byte-exact):
   bytes 0..3   magic b"VCUT"
-  bytes 4..5   format version, u16 little-endian (currently 5)
+  bytes 4..5   format version, u16 little-endian (currently 6)
   bytes 6..13  manifest byte length, u64 little-endian
   ...          manifest: canonical JSON (UTF-8, sorted keys, separators ",",":")
   8 bytes      payload byte length, u64 little-endian
@@ -14,6 +14,7 @@ Canonical JSON makes serialization deterministic, so structure sizes are
 reproducible byte-exactly. The payload stores each fact once. It holds the
 input graph, a table of graphs (the work graph, then each distinct leaf
 graph; leaves refer to it by index) and one detector record per round.
+A U/S detector record keeps, in root ids, only the rows a query can read.
 What the tree determines is derived on load, not stored: node vertex sets,
 the rounds' terminal sets, S*, depths and vertex sums. The manifest's round
 summaries must equal those recomputed from the loaded detectors. A round of
@@ -28,6 +29,7 @@ import json
 import os
 import struct
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .decomposition import NodeKind, TedCollection
@@ -38,7 +40,7 @@ from .labels import LabelingScheme
 from .oracle import DetectorNode, OracleMode, TerminalCutDetector, VertexCutOracle
 
 MAGIC = b"VCUT"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -118,23 +120,34 @@ def _graph_from(payload: dict) -> Graph:
 
 
 def _us_payload(det: USDetector) -> dict:
-    tables = []
-    for w in sorted(det.tables, key=sorted):
-        arr, bit = det.tables[w]
-        tables.append([sorted(w), [list(t) for t in arr], bool(bit)])
-    return {"n": det.graph.n, "root_ids": list(det.graph.root_ids),
-            "u": sorted(det.u_set), "s": sorted(det.s_set),
+    tables = [[sorted(w), [list(t) for t in arr], bit]
+              for w, (arr, bit) in sorted(det.tables.items(),
+                                          key=lambda row: sorted(row[0]))]
+    return {"u": sorted(det.u_set), "s": sorted(det.s_set),
             "f_connected": det.f_connected, "tables": tables}
 
 
 def _us_from(payload: dict, f: int) -> USDetector:
-    # The US query never touches adjacency, so the graph is restored as a
-    # vertex map only; the tables are loaded as computed.
-    g = Graph(payload["n"], [], root_ids=payload["root_ids"])
-    tables = {frozenset(w): ([tuple(t) for t in arr], bool(bit))
-              for w, arr, bit in payload["tables"]}
-    return USDetector(g, frozenset(payload["u"]), frozenset(payload["s"]), f,
-                      payload["f_connected"], tables)
+    # The tables are loaded as computed, so they must hold exactly the rows
+    # a query can read, one per W ⊆ U with |W| <= f (a missing row would
+    # fail the query), and name no id outside S ∪ U.
+    u = frozenset(payload["u"])
+    s = frozenset(payload["s"])
+    tables = {}
+    ids: set[int] = set()
+    for w, arr, bit in payload["tables"]:
+        rows = list(map(tuple, arr))
+        ids.update(w, *rows)
+        tables[frozenset(w)] = (rows, bool(bit))
+    expected = sum(comb(len(u), i) for i in range(min(f, len(u)) + 1))
+    if (len(tables) != len(payload["tables"]) or len(tables) != expected
+            or not all(len(w) <= f and w <= u for w in tables)):
+        raise InvalidParams("malformed oracle container: the rows of a US record are "
+                            f"not one per W ⊆ U with |W| <= f={f}")
+    if not ids <= s | u:
+        raise InvalidParams("malformed oracle container: a US record names ids "
+                            f"outside S ∪ U: {sorted(ids - s - u)}")
+    return USDetector(u, s, f, payload["f_connected"], tables)
 
 
 _NODE_SETS = ("sep", "left_side", "right_side", "u_left", "u_right")

@@ -73,8 +73,9 @@ class QueryStats:
 class DetectorNode:
     """A tree node after augmentation: per-node graphs are dropped, and what
     remains is the membership sets the search reads (in root ids) and the
-    attached detectors. Each detector works in the ids of its own graph,
-    reached from root ids through ``det.graph.root_to_local``.
+    attached detectors. A leaf detector works in the ids of its own graph,
+    reached from root ids through ``det.graph.root_to_local``; a US detector
+    works in root ids and keeps no graph.
 
     ``vset`` is the node graph's vertex set. It is not stored in a container:
     a loaded leaf takes it from its leaf graph, and a loaded internal node as
@@ -171,11 +172,10 @@ def _conn_for(graph: Graph, f: int,
 def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
              debug: bool, pool: dict[Graph, FailureConnectivityOracle]) -> DetectorNode:
     g = node.graph
-    root_map = g.root_to_local
     det = DetectorNode(kind=node.kind, vset=node.vertex_set,
                        lr=node if debug else None)
     if node.is_leaf:
-        local_t = [root_map[r] for r in node.terminals]
+        local_t = [g.root_to_local[r] for r in node.terminals]
         if node.kind is NodeKind.LEAF_EXPANDER and len(local_t) > threshold:
             det.leaf = build_te(g, local_t, f, conn=_conn_for(g, f, pool))
         else:
@@ -186,18 +186,12 @@ def _augment(node: LRNode, f: int, threshold: Fraction, fconnected: bool,
     det.right_side = node.cut.right
     det.u_left = node.u_left
     det.u_right = node.u_right
-    gl, gr = node.left.graph, node.right.graph
     if fconnected:
-        local_s = [root_map[r] for r in node.cut.sep]
-        det.us_self = build_us(g, [], local_s, f, f_connected=True)
+        det.us_self = build_us(g, [], node.cut.sep, f, f_connected=True)
     else:
         u_root = node.u_left | node.u_right
-        sl = [gl.root_to_local[r] for r in node.cut.sep]
-        ul = [gl.root_to_local[r] for r in u_root]
-        det.us_left = build_us(gl, ul, sl, f)
-        sr = [gr.root_to_local[r] for r in node.cut.sep]
-        ur = [gr.root_to_local[r] for r in u_root]
-        det.us_right = build_us(gr, ur, sr, f)
+        det.us_left = build_us(node.left.graph, u_root, node.cut.sep, f)
+        det.us_right = build_us(node.right.graph, u_root, node.cut.sep, f)
     det.left = _augment(node.left, f, threshold, fconnected, debug, pool)
     det.right = _augment(node.right, f, threshold, fconnected, debug, pool)
     if node.step is not None:
@@ -226,9 +220,8 @@ def build_detector(g: Graph, t_set: Iterable[int], f: int,
                                tree.sum_edges)
 
 
-def _ask(det: FewTDetector | TEDetector | USDetector,
-         f_root: frozenset[int]) -> DetectorAnswer:
-    """Query a node's detector with F given in root ids."""
+def _ask(det: FewTDetector | TEDetector, f_root: frozenset[int]) -> DetectorAnswer:
+    """Query a leaf's detector with F given in root ids."""
     root_map = det.graph.root_to_local
     return det.query([root_map[r] for r in f_root])
 
@@ -250,13 +243,13 @@ def _visit_general(node: DetectorNode, f_q: frozenset[int], depth: int,
     if f_q & node.right_side <= node.u_right:
         stats.trim_nodes += 1
         stats.detector_queries += 1
-        if _ask(node.us_right, f_r) is DetectorAnswer.CUT:
+        if node.us_right.query(f_r) is DetectorAnswer.CUT:
             return DetectorAnswer.CUT
         return _visit_general(node.left, f_l, depth + 1, stats)
     if f_q & node.left_side <= node.u_left:
         stats.trim_nodes += 1
         stats.detector_queries += 1
-        if _ask(node.us_left, f_l) is DetectorAnswer.CUT:
+        if node.us_left.query(f_l) is DetectorAnswer.CUT:
             return DetectorAnswer.CUT
         if _visit_general(node.right, f_r, depth + 1, stats) is DetectorAnswer.CUT:
             return DetectorAnswer.CUT
@@ -295,7 +288,7 @@ def _visit_fconnected(node: DetectorNode, f_q: frozenset[int], depth: int,
     if f_q <= node.sep:
         stats.trim_nodes += 1
         stats.detector_queries += 1
-        return _ask(node.us_self, f_q)
+        return node.us_self.query(f_q)
     in_left = bool(f_q & node.left_side)
     in_right = bool(f_q & node.right_side)
     if in_left and in_right:

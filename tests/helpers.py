@@ -136,16 +136,18 @@ def cut_via_components(g: Graph, f_set) -> bool:
 
 
 def us_tables_reference(g: Graph, u_set, s_set, f: int) -> dict:
-    """Reference US tables: for every W ⊆ U, two plain BFS passes over
-    G - (S ∪ W) give its components and their count; each component's N(C)
-    with |N(C)| <= f is kept as a sorted tuple, and the row is (sorted
-    distinct tuples, at most one component)."""
-    ss = frozenset(s_set)
+    """Reference US tables, with U, S and the result in g's root ids: for
+    every W ⊆ U with |W| <= f, two plain BFS passes over G - (S ∪ W) give
+    its components and their count; each component's N(C) with |N(C)| <= f
+    is kept as a sorted tuple, and the row is (sorted distinct tuples, at
+    most one component)."""
+    local = g.root_to_local
+    ss = frozenset(local[r] for r in s_set)
     u_sorted = sorted(set(u_set))
     tables = {}
-    for r in range(len(u_sorted) + 1):
+    for r in range(min(f, len(u_sorted)) + 1):
         for w in combinations(u_sorted, r):
-            removed = ss | frozenset(w)
+            removed = ss | frozenset(local[x] for x in w)
             ncomp = max(component_labels(g, removed), default=-1) + 1
             seen = set()
             for comp in components(g, removed):
@@ -154,7 +156,7 @@ def us_tables_reference(g: Graph, u_set, s_set, f: int) -> dict:
                     nbhd.update(g.adj[v])
                 nbhd -= set(comp)
                 if len(nbhd) <= f:
-                    seen.add(tuple(sorted(nbhd)))
+                    seen.add(tuple(sorted(g.root_ids[v] for v in nbhd)))
             tables[frozenset(w)] = (sorted(seen), ncomp <= 1)
     return tables
 

@@ -83,8 +83,10 @@ def test_built_oracle_keeps_no_split_graph():
     held = [o.graph, o.work]
     for det in o.rounds:
         for node in det.nodes():
-            held += [d.graph for d in (node.leaf, node.us_left, node.us_right, node.us_self)
-                     if d is not None]
+            if node.leaf is not None:
+                held.append(node.leaf.graph)
+            # a US detector keeps no graph at all
+            assert not any(hasattr(d, "graph") for d in (node.us_left, node.us_right))
     assert o.rounds[0].depth >= 2
     assert [h for h in held if h._split is not None] == []
 

@@ -1,5 +1,6 @@
 """Property tests: the US detector's tables, built from one sweep of
-G - (S ∪ U), against a per-W recomputation with plain BFS."""
+G - (S ∪ U), against a per-W recomputation with plain BFS, for every
+W ⊆ U with |W| <= f."""
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,10 @@ NAMED = {
                     lambda g, u, s: len(u) == 4),
     "u_at_cap_f3": (complete_graph(10), set(range(8)), {8}, 3,
                     lambda g, u, s: len(u) == 8),
+    # U and S are root ids of a subgraph whose own ids differ: paths 1-2-3
+    # and 5-6-7 of P9 are local 0-1-2 and 3-4-5
+    "subgraph_root_ids": (path_graph(9).induced([1, 2, 3, 5, 6, 7]), {2, 6}, {3}, 1,
+                          lambda g, u, s: g.root_ids == (1, 2, 3, 5, 6, 7)),
 }
 
 

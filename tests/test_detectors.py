@@ -1,5 +1,7 @@
 """Base cut detectors: FewT, TE, US, and the structural trichotomy."""
 
+from math import comb
+
 import pytest
 
 from helpers import (barbell_graph, complete_graph, cycle_graph, path_graph,
@@ -162,13 +164,17 @@ def _us_expected(g, s_set, fs, f):
 
 
 def test_query_us_matches_lemma_options():
+    # (1, 4, 6, 7, 8, 9) puts |U| at the 2f + 2 cap, where rows with
+    # |W| > f would exist; a query never reads them, so none is kept.
     for seed in range(4):
         g = gen_connected_gnp(10, 0.35, seed + 60)
         for s_sub in [(), (0,), (0, 5), (2, 3)]:
-            for u_sub in [(), (1,), (1, 7)]:
+            for u_sub in [(), (1,), (1, 7), (1, 4, 6, 7, 8, 9)]:
                 if set(s_sub) & set(u_sub):
                     continue
                 us = build_us(g, u_sub, s_sub, 2)
+                assert len(us.tables) == sum(comb(len(u_sub), i)
+                                             for i in range(min(2, len(u_sub)) + 1))
                 domain = sorted(set(s_sub) | set(u_sub))
                 for fs in subsets_upto(len(domain), 2):
                     f_ids = [domain[i] for i in fs]

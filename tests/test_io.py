@@ -5,7 +5,9 @@ truncation, length fields and re-checksummed byte edits, either load or
 are rejected with a library error."""
 
 import copy
+import re
 import struct
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from helpers import (barbell_graph, container, container_parts, cycle_graph,
                      path_graph, rechecksummed, subsets_upto, two_blob_graph)
 from vertexcuts.decomposition import TreeParams
+from vertexcuts.detectors import build_us
 from vertexcuts.errors import InvalidParams, VertexCutsError
 from vertexcuts.generators import gen_connected_gnp
 import vertexcuts.io as vio
@@ -276,6 +279,13 @@ def test_version_4_container_is_rejected():
     assert_version_is_rejected(4)
 
 
+def test_version_5_container_is_rejected():
+    # version 5 stored a US row for every W ⊆ U, in its graph's local ids,
+    # with that graph's n and root_ids; version 6 keeps the rows with
+    # |W| <= f, in root ids
+    assert_version_is_rejected(5)
+
+
 def test_unknown_round_type_is_rejected():
     o = build_oracle(path_graph(5), 1, OracleMode.HITMISS)
     payload = oracle_payload(o)
@@ -291,3 +301,61 @@ def test_format_docs_name_the_current_version():
     current = f"(currently {vio.FORMAT_VERSION})"
     assert current in docs and current in vio.__doc__
     assert f"Only version {vio.FORMAT_VERSION} is read" in docs
+    # the US record's keys, as the docs list them and as the writer writes them
+    listed = re.search(r"U/S detector record: `\{([^}]*)\}`", docs).group(1)
+    written = vio._us_payload(build_us(path_graph(4), [0], [1], 1))
+    assert sorted(listed.replace(",", " ").split()) == sorted(written)
+
+
+@pytest.fixture(scope="module")
+def chain_general_seed_1():
+    """The oracle of the benchmark's chain-general workload at seed 1."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    w = workloads.make_workload("chain-general", 1)
+    return build_oracle(w.graph, w.f, w.mode, **w.build_kwargs)
+
+
+def us_records(node):
+    for name in ("us_left", "us_right", "us_self"):
+        if node[name] is not None:
+            yield node[name]
+    for name in ("left", "right", "step"):
+        if node[name] is not None:
+            yield from us_records(node[name])
+
+
+def drop_nonempty_rows(record):
+    record["tables"] = [row for row in record["tables"] if not row[0]]
+
+
+def add_outside_id(record):
+    record["tables"][-1][1].append([max(record["s"] + record["u"]) + 1])
+
+
+def widen_last_row(record):
+    record["tables"][-1][0] = sorted(record["u"])
+
+
+@pytest.mark.parametrize("edit, match", [
+    (drop_nonempty_rows, "not one per W"),
+    (add_outside_id, "outside S ∪ U"),
+    (widen_last_row, "not one per W"),
+], ids=["drop_nonempty_rows", "add_outside_id", "widen_last_row"])
+def test_us_record_whose_rows_a_query_cannot_trust_is_rejected(chain_general_seed_1,
+                                                               edit, match):
+    o = chain_general_seed_1
+    payload = oracle_payload(o)
+    records = [r for rp in payload["rounds"] for r in us_records(rp["root"])]
+    assert sum(len(r["tables"]) for r in records) == 3162
+    assert any(len(r["u"]) > o.f for r in records)
+    for record in records:
+        if len(record["u"]) > o.f:
+            edit(record)
+    with pytest.raises(InvalidParams, match=match):
+        oracle_from_bytes(container(canonical_json_bytes(o.manifest),
+                                    canonical_json_bytes(payload)))
